@@ -49,11 +49,15 @@ print()
 
 print("Gram structure for m = 3 (degrees 6..12):")
 g3 = gram_matrix(arr, 3, quad)
-off = g3.degrees[:, None] != g3.degrees[None, :]
-z = np.abs(g3.gram[off]) / np.maximum(g3.stderr[off], 1e-300)
 print(f"  basis size {g3.basis_size}, effective rank {g3.effective_rank}")
-print(f"  largest cross-degree z-score: {z.max():.2f} "
-      "(exact value is 0 by the circle action)")
+estimated = 0
+for block in g3.blocks:
+    size = block.transform.shape[0]
+    estimated += size ** 2
+    print(f"  degree {block.degree}: {size} elements, "
+          f"rank {block.transform.shape[1]}")
+print(f"  {estimated} of {g3.basis_size ** 2} entries estimated; the "
+      "cross-degree ones are exactly 0 by the circle action")
 print()
 
 t = np.geomspace(1e-3, 1e-1, 25)

@@ -5,9 +5,12 @@ functions on the unit ball that are square integrable against e^{-2m phi}.
 For arrangement weights every admissible basis element is homogeneous, so
 each inner product splits into an exact radial integral times an integral
 over the unit sphere S^3, which is estimated by seeded Monte Carlo.  The
-Gram matrix of the truncated basis is then factorized to an orthonormal
-basis, giving a computable lower truncation phi_hat of phi_m whose slopes
-near 0 recover the symbolic singularity data.
+weight is invariant under z -> e^{i theta} z, so elements of different
+total degree are orthogonal: the Gram matrix is estimated and factorized
+one degree block at a time to an orthonormal basis, giving a computable
+lower truncation phi_hat of phi_m whose slopes near 0 recover the
+symbolic singularity data.  The kernel is evaluated in log space by
+homogeneity, so high degrees neither underflow nor overflow.
 
 Admissibility of a basis element is decided symbolically (ideal
 membership); the quadrature never gets to vote on integrability.
@@ -28,7 +31,7 @@ from .polynomials import BivariatePolynomial
 MIN_SPHERE_SAMPLES = 10_000
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
-_CHUNK = 1 << 16
+_CHUNK = 1 << 13
 
 
 class NonIntegrableExponentError(ArithmeticError):
@@ -107,29 +110,56 @@ def radial_factor(d_total: int, s, radius: float = 1.0) -> float:
     return radius ** power / power
 
 
-def sphere_points(count: int, seed: int) -> np.ndarray:
-    """`count` uniform points on S^3 in C^2, deterministic in the seed.
+def _sphere_chunks(count: int, seed: int):
+    """Yield `count` uniform points on S^3 as (x, y) arrays of at most
+    _CHUNK points each, deterministic in the seed.
 
     Uses a counter-based generator so the stream is a pure function of
-    (seed, index) and independent of how callers batch their draws.
+    (seed, index); the normal draws are sequential, so every consumer of
+    this generator sees the same points whatever it does with a chunk.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    out = np.empty((count, 2), dtype=np.complex128)
     done = 0
     while done < count:
         take = min(_CHUNK, count - done)
         raw = gen.standard_normal((take, 4))
         norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
         norm[norm == 0.0] = 1.0
-        out[done:done + take, 0] = (raw[:, 0] + 1j * raw[:, 1]) / norm
-        out[done:done + take, 1] = (raw[:, 2] + 1j * raw[:, 3]) / norm
+        yield (raw[:, 0] + 1j * raw[:, 1]) / norm, \
+            (raw[:, 2] + 1j * raw[:, 3]) / norm
         done += take
+
+
+def sphere_points(count: int, seed: int) -> np.ndarray:
+    """`count` uniform points on S^3 in C^2, deterministic in the seed:
+    exactly the points `gram_matrix` samples for the same seed."""
+    out = np.empty((count, 2), dtype=np.complex128)
+    done = 0
+    for x, y in _sphere_chunks(count, seed):
+        out[done:done + len(x), 0] = x
+        out[done:done + len(x), 1] = y
+        done += len(x)
     return out
+
+
+@dataclass(frozen=True)
+class GramBlock:
+    """The basis elements of one total degree: their positions in the basis
+    order and the orthonormalizing transform of their Gram block."""
+
+    degree: int
+    span: slice
+    transform: np.ndarray  # block size x block rank
 
 
 @dataclass
 class GramResult:
-    """Estimated Gram data of the admissible basis for one (arr, m)."""
+    """Estimated Gram data of the admissible basis for one (arr, m).
+
+    Entries between different total degrees vanish exactly (the weight is
+    invariant under z -> e^{i theta} z) and are stored as exact zeros with
+    zero standard error; only the same-degree blocks are estimated.
+    """
 
     m: int
     spec: QuadratureSpec
@@ -138,7 +168,7 @@ class GramResult:
     degrees: np.ndarray
     gram: np.ndarray
     stderr: np.ndarray
-    transform: np.ndarray
+    blocks: list[GramBlock]
     effective_rank: int
     degenerate: bool
     _arr: WeightedArrangement
@@ -147,12 +177,21 @@ class GramResult:
     def basis_size(self) -> int:
         return len(self.monomials)
 
+    @property
+    def transform(self) -> np.ndarray:
+        """Orthonormalizing transform of the whole basis (k x rank),
+        block diagonal in the degree blocks."""
+        out = np.zeros((self.basis_size, self.effective_rank),
+                       dtype=np.complex128)
+        col = 0
+        for block in self.blocks:
+            width = block.transform.shape[1]
+            out[block.span, col:col + width] = block.transform
+            col += width
+        return out
+
     def basis(self) -> list[BivariatePolynomial]:
-        common = BivariatePolynomial.one()
-        for line, power in zip(self._arr.lines, self.line_powers):
-            common = common * (line.form() ** power)
-        return [common * BivariatePolynomial.monomial(u, v)
-                for u, v in self.monomials]
+        return admissible_basis(self._arr, self.m, self.spec.max_degree)
 
     def to_dict(self) -> dict:
         return {
@@ -172,30 +211,45 @@ class GramResult:
         }
 
 
-def _basis_values(arr: WeightedArrangement, line_powers: Sequence[int],
-                  monomials: Sequence[tuple[int, int]],
-                  x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix of basis values, one row per basis element."""
-    common = np.ones_like(x)
-    for line, power in zip(arr.lines, line_powers):
-        if power:
-            common = common * line.evaluate(x, y) ** power
-    max_u = max((u for u, _ in monomials), default=0)
-    max_v = max((v for _, v in monomials), default=0)
-    xp = [np.ones_like(x)]
-    for _ in range(max_u):
-        xp.append(xp[-1] * x)
-    yp = [np.ones_like(y)]
-    for _ in range(max_v):
-        yp.append(yp[-1] * y)
-    rows = [common * xp[u] * yp[v] for u, v in monomials]
-    return np.vstack(rows)
+def _weighted_modulus(arr: WeightedArrangement, line_powers: Sequence[int],
+                      m: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|prod ell_i^{b_i}| * sqrt(w) = prod |ell_i|^{b_i - m a_i}.
+
+    Each exponent lies in (-1, 0], so no factor overflows or underflows
+    however large m is.  The phase of prod ell_i^{b_i} is common to every
+    basis element and cancels in each Gram product f_j * conj(f_k), so it
+    is never formed.
+    """
+    out = np.ones(len(x))
+    for line, power, a in zip(arr.lines, line_powers, arr.coeffs):
+        out *= np.abs(line.evaluate(x, y)) ** float(power - m * a)
+    return out
+
+
+def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
+                     t_lo: int, t_hi: int):
+    """Yield the rows of cofactor degree t = t_lo..t_hi, one (t+1) x n
+    block each: rows[i] = common * x^(t-i) * y^i.
+
+    Block t+1 is x * block t followed by y * (its last row): two products
+    per block, and no more than two blocks alive at a time.
+    """
+    i = np.arange(t_lo + 1)[:, None]
+    rows = common * x ** (t_lo - i) * y ** i
+    for t in range(t_lo, t_hi + 1):
+        yield rows
+        if t < t_hi:
+            nxt = np.empty((t + 2, len(x)), dtype=np.complex128)
+            np.multiply(rows, x, out=nxt[:t + 1])
+            np.multiply(rows[-1], y, out=nxt[t + 1])
+            rows = nxt
 
 
 def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
                 ) -> GramResult:
     """Monte Carlo Gram matrix of the admissible basis with per-entry
-    standard errors and the orthonormalizing transform."""
+    standard errors and the orthonormalizing transform, estimated one
+    degree block at a time."""
     line_powers, base, monos = _basis_layout(arr, m, quad.max_degree)
     if not monos:
         raise EmptyBasisError(
@@ -204,53 +258,49 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         )
     k = len(monos)
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
-    weight_exps = [-float(m * a) for a in arr.coeffs]  # per line, for sqrt(w)
+    t_lo, t_hi = sum(monos[0]), sum(monos[-1])
+    cofactor_degrees = range(t_lo, t_hi + 1)
 
-    gen = np.random.Generator(np.random.Philox(key=quad.seed))
-    s_sum = np.zeros((k, k), dtype=np.complex128)
-    m2_sum = np.zeros((k, k), dtype=np.float64)
-    done = 0
-    while done < quad.sphere_samples:
-        take = min(_CHUNK, quad.sphere_samples - done)
-        raw = gen.standard_normal((take, 4))
-        norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
-        norm[norm == 0.0] = 1.0
-        x = (raw[:, 0] + 1j * raw[:, 1]) / norm
-        y = (raw[:, 2] + 1j * raw[:, 3]) / norm
-        rows = _basis_values(arr, line_powers, monos, x, y)
-        sqrt_w = np.ones(take, dtype=np.float64)
-        for line, exp in zip(arr.lines, weight_exps):
-            if exp != 0.0:
-                sqrt_w *= np.abs(line.evaluate(x, y)) ** exp
-        rows *= sqrt_w
-        s_sum += rows @ rows.conj().T
-        abs2 = rows.real ** 2 + rows.imag ** 2
-        m2_sum += abs2 @ abs2.T
-        done += take
+    s_sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
+              for t in cofactor_degrees]
+    m2_sums = [np.zeros((t + 1, t + 1), dtype=np.float64)
+               for t in cofactor_degrees]
+    for x, y in _sphere_chunks(quad.sphere_samples, quad.seed):
+        common = _weighted_modulus(arr, line_powers, m, x, y)
+        for rows, s_sum, m2_sum in zip(
+                _cofactor_blocks(common, x, y, t_lo, t_hi), s_sums, m2_sums):
+            s_sum += rows @ rows.conj().T
+            abs2 = rows.real ** 2 + rows.imag ** 2
+            m2_sum += abs2 @ abs2.T
 
     n = float(quad.sphere_samples)
-    sphere_mean = s_sum / n
-    second_moment = m2_sum / n
     s_hom = 2 * m * arr.total_mass
-    scale = np.array(
-        [
-            [SPHERE_AREA * radial_factor(int(dg + dh), s_hom, quad.radius)
-             for dh in degrees]
-            for dg in degrees
-        ]
-    )
-    gram = sphere_mean * scale
-    gram = (gram + gram.conj().T) / 2.0
-    variance = np.maximum(second_moment - np.abs(sphere_mean) ** 2, 0.0)
-    stderr = np.sqrt(variance / n) * scale
+    gram = np.zeros((k, k), dtype=np.complex128)
+    stderr = np.zeros((k, k), dtype=np.float64)
+    spans = []
+    start = 0
+    for t, s_sum, m2_sum in zip(cofactor_degrees, s_sums, m2_sums):
+        span = slice(start, start + t + 1)
+        start = span.stop
+        spans.append((base + t, span))
+        scale = SPHERE_AREA * radial_factor(2 * (base + t), s_hom,
+                                            quad.radius)
+        sphere_mean = s_sum / n
+        block = sphere_mean * scale
+        gram[span, span] = (block + block.conj().T) / 2.0
+        variance = np.maximum(m2_sum / n - np.abs(sphere_mean) ** 2, 0.0)
+        stderr[span, span] = np.sqrt(variance / n) * scale
 
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    lam_max = float(eigvals[-1]) if k else 0.0
-    keep = eigvals > RANK_TOLERANCE * max(lam_max, 0.0)
-    if lam_max <= 0.0:
-        keep = np.zeros(k, dtype=bool)
-    transform = eigvecs[:, keep].conj() / np.sqrt(eigvals[keep])
-    rank = int(keep.sum())
+    eigen = [np.linalg.eigh(gram[span, span]) for _, span in spans]
+    lam_max = max(float(eigvals[-1]) for eigvals, _ in eigen)
+    blocks = []
+    for (degree, span), (eigvals, eigvecs) in zip(spans, eigen):
+        keep = eigvals > RANK_TOLERANCE * lam_max
+        if lam_max <= 0.0:
+            keep[:] = False
+        blocks.append(GramBlock(
+            degree, span, eigvecs[:, keep].conj() / np.sqrt(eigvals[keep])))
+    rank = sum(block.transform.shape[1] for block in blocks)
     return GramResult(
         m=m,
         spec=quad,
@@ -259,21 +309,57 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         degrees=degrees,
         gram=gram,
         stderr=stderr,
-        transform=transform,
+        blocks=blocks,
         effective_rank=rank,
         degenerate=rank < k,
         _arr=arr,
     )
 
 
+def _log_kernel(result: GramResult, x, y) -> np.ndarray:
+    """log of the sum of |sigma_l|^2 over the orthonormal basis, flattened.
+
+    By homogeneity, with z = |z| u: log K(z) = 2 sum_i b_i log|ell_i(u)|
+    + logsumexp_d(2d log|z| + log K_d(u)), where K_d is the block-d kernel
+    of the cofactor monomials at u.  No power of |z| is ever formed, so
+    high degrees neither underflow nor overflow.
+    """
+    x = np.asarray(x, dtype=np.complex128).ravel()
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    r = np.hypot(np.abs(x), np.abs(y))
+    unit = np.where(r > 0.0, r, 1.0)
+    ux, uy = x / unit, y / unit
+    base = sum(result.line_powers)
+    blocks = result.blocks
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+        log_lines = np.zeros(len(x))
+        for line, power in zip(result._arr.lines, result.line_powers):
+            if power:
+                ell = line.evaluate(ux, uy)
+                log_lines += 2.0 * power * np.log(np.abs(ell))
+        terms = []
+        for block, rows in zip(blocks, _cofactor_blocks(
+                np.ones(len(ux)), ux, uy, blocks[0].degree - base,
+                blocks[-1].degree - base)):
+            if block.transform.shape[1] == 0:
+                continue
+            sigma = block.transform.T @ rows
+            term = np.log(np.sum(sigma.real ** 2 + sigma.imag ** 2, axis=0))
+            if block.degree:  # 0 * log|z| would be NaN at z = 0
+                term += 2.0 * block.degree * log_r
+            terms.append(term)
+        if not terms:
+            return np.full(len(x), -np.inf)
+        terms = np.array(terms)
+        top = terms.max(axis=0)
+        top = np.where(np.isfinite(top), top, 0.0)  # all -inf at z = 0
+        return log_lines + top + np.log(np.sum(np.exp(terms - top), axis=0))
+
+
 def kernel_values(result: GramResult, x, y) -> np.ndarray:
     """Sum of |sigma_l|^2 over the orthonormal basis, at arrays of points."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    rows = _basis_values(result._arr, result.line_powers, result.monomials,
-                         x.ravel(), y.ravel())
-    sigma = result.transform.T @ rows
-    return np.sum(np.abs(sigma) ** 2, axis=0).reshape(x.shape)
+    return np.exp(_log_kernel(result, x, y)).reshape(np.shape(x))
 
 
 def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
@@ -281,17 +367,12 @@ def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                 gram: GramResult | None = None) -> float:
     """Truncated approximation weight (1/2m) log sum |sigma_l(z)|^2."""
     result = gram if gram is not None else gram_matrix(arr, m, quad)
-    k = float(kernel_values(result, np.array([point[0]]),
-                            np.array([point[1]]))[0])
-    if k <= 0.0:
-        return float("-inf")
-    return math.log(k) / (2.0 * m)
+    return float(_log_kernel(result, [point[0]], [point[1]])[0]) / (2.0 * m)
 
 
 def _phi_on_points(result: GramResult, x: np.ndarray, y: np.ndarray
                    ) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(kernel_values(result, x, y)) / (2.0 * result.m)
+    return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
 
 
 def _effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec,

@@ -19,6 +19,10 @@ from pshlab.bergman import (
     sphere_points,
 )
 from pshlab.polynomials import BivariatePolynomial as P
+from pshlab.sequence import entry
+from pshlab.singularity import lelong
+
+from gram_reference import direct_kernel, full_gram, max_cross_degree_z
 
 THEOREM1 = preset("theorem1")
 ZERO_WEIGHT = new_arrangement([], [], 0)
@@ -94,11 +98,52 @@ def test_gram_positive_semidefinite():
 
 
 def test_cross_degree_entries_vanish():
+    # gram_matrix stores the cross-degree entries as exact zeros; the
+    # reference estimator checks on the same sphere points that their
+    # sample means are indeed 0 within 5 standard errors
     result = gram_matrix(THEOREM1, 2, QuadratureSpec(9, 100_000, 42))
     d = result.degrees
     off = d[:, None] != d[None, :]
-    z = np.abs(result.gram[off]) / np.maximum(result.stderr[off], 1e-300)
-    assert z.max() < 5.0
+    assert np.all(result.gram[off] == 0) and np.all(result.stderr[off] == 0)
+    assert max_cross_degree_z(THEOREM1, result) < 5.0
+
+
+@pytest.mark.parametrize("arr, m, quad", [
+    (ZERO_WEIGHT, 1, QuadratureSpec(1, 50_000, 11)),
+    (THEOREM1, 2, QuadratureSpec(9, 100_000, 42)),
+])
+def test_gram_blocks_match_full_estimate(arr, m, quad):
+    # the block-wise estimate reproduces the full estimate recomputed row by
+    # row from sphere_points, so the two samplers cannot drift apart
+    result = gram_matrix(arr, m, quad)
+    full = full_gram(arr, result)
+    same = result.degrees[:, None] == result.degrees[None, :]
+    diag = np.sqrt(np.diag(result.gram).real)
+    err = np.abs(result.gram - full)[same] / np.outer(diag, diag)[same]
+    assert err.max() < 1e-12
+
+
+def test_kernel_values_match_direct_sum():
+    # the log-space kernel, assembled block by block from |z|, u = z/|z|
+    # and the line factors, equals the direct sum over the whole transform
+    result = gram_matrix(THEOREM1, 2, QuadratureSpec(9, 50_000, 42))
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(40, 4)) * 0.3
+    xs = pts[:, 0] + 1j * pts[:, 1]
+    ys = pts[:, 2] + 1j * pts[:, 3]
+    want = direct_kernel(THEOREM1, result, xs, ys)
+    assert np.allclose(kernel_values(result, xs, ys), want, rtol=1e-10,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("m", [30, 50, 200, 400])
+def test_lelong_estimate_large_m(m):
+    # basis degrees reach 2m and more here: the kernel must not underflow
+    # at r = 1e-3, nor the basis weights overflow near the lines
+    est = lelong_estimate(THEOREM1, m, QuadratureSpec(12, 100_000, 42))
+    symbolic = float(lelong(entry(THEOREM1, m).cls))
+    assert math.isfinite(est.value)
+    assert est.value == pytest.approx(symbolic, abs=0.05)
 
 
 def test_truncation_monotonicity():

@@ -1,6 +1,10 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 from pshlab.cli import main
 
@@ -162,6 +166,23 @@ def test_bergman_ray_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["symbolic_lelong"] == "1/2"
     assert abs(payload["lelong_estimate"] - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("m", [50, 200])
+def test_bergman_large_m(m, capsys):
+    rc = main(["bergman", "--preset", "theorem1", "--m", str(m),
+               "--audit-gram", "--no-timestamp"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    symbolic = float(Fraction(payload["symbolic_lelong"]))
+    assert math.isfinite(payload["lelong_estimate"])
+    assert abs(payload["lelong_estimate"] - symbolic) < 0.05
+    gram = payload["gram"]
+    degrees = gram["degrees"]
+    cross = [(j, k) for j, dj in enumerate(degrees)
+             for k, dk in enumerate(degrees) if dj != dk]
+    assert cross and all(gram["gram_re"][j][k] == gram["gram_im"][j][k]
+                         == gram["stderr"][j][k] == 0.0 for j, k in cross)
 
 
 def test_bergman_csv_table(capsys):
