@@ -117,16 +117,28 @@ def _sphere_chunks(count: int, seed: int):
     Uses a counter-based generator so the stream is a pure function of
     (seed, index); the normal draws are sequential, so every consumer of
     this generator sees the same points whatever it does with a chunk.
+    The yielded arrays are overwritten by the next chunk: copy what must
+    outlive it.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
+    size = min(_CHUNK, count)
+    raw = np.empty((size, 4))
+    norm = np.empty(size)
+    x = np.empty(size, dtype=np.complex128)
+    y = np.empty(size, dtype=np.complex128)
     done = 0
     while done < count:
-        take = min(_CHUNK, count - done)
-        raw = gen.standard_normal((take, 4))
-        norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
-        norm[norm == 0.0] = 1.0
-        yield (raw[:, 0] + 1j * raw[:, 1]) / norm, \
-            (raw[:, 2] + 1j * raw[:, 3]) / norm
+        take = min(size, count - done)
+        r, nv, xv, yv = raw[:take], norm[:take], x[:take], y[:take]
+        gen.standard_normal(out=r)
+        np.sqrt(np.einsum("ij,ij->i", r, r), out=nv)
+        nv[nv == 0.0] = 1.0
+        np.divide(1.0, nv, out=nv)
+        np.multiply(r[:, 0], nv, out=xv.real)
+        np.multiply(r[:, 1], nv, out=xv.imag)
+        np.multiply(r[:, 2], nv, out=yv.real)
+        np.multiply(r[:, 3], nv, out=yv.imag)
+        yield xv, yv
         done += take
 
 
@@ -227,22 +239,30 @@ def _weighted_modulus(arr: WeightedArrangement, line_powers: Sequence[int],
 
 
 def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     t_lo: int, t_hi: int):
+                     t_lo: int, t_hi: int, work: tuple[np.ndarray, ...] = ()):
     """Yield the rows of cofactor degree t = t_lo..t_hi, one (t+1) x n
     block each: rows[i] = common * x^(t-i) * y^i.
 
     Block t+1 is x * block t followed by y * (its last row): two products
-    per block, and no more than two blocks alive at a time.
+    per block, written alternately into the two flat complex buffers of
+    `work` (each of at least (t_hi+1) * n entries; allocated here if not
+    given).  A yielded block is overwritten two blocks later.
     """
-    i = np.arange(t_lo + 1)[:, None]
-    rows = common * x ** (t_lo - i) * y ** i
-    for t in range(t_lo, t_hi + 1):
-        yield rows
+    n = len(x)
+    if not work:
+        work = tuple(np.empty((t_hi + 1) * n, dtype=np.complex128)
+                     for _ in range(2))
+    cur, nxt = work
+    rows = cur[:n].reshape(1, n)
+    rows[0] = common
+    for t in range(t_hi + 1):
+        if t >= t_lo:
+            yield rows
         if t < t_hi:
-            nxt = np.empty((t + 2, len(x)), dtype=np.complex128)
-            np.multiply(rows, x, out=nxt[:t + 1])
-            np.multiply(rows[-1], y, out=nxt[t + 1])
-            rows = nxt
+            grown = nxt[:(t + 2) * n].reshape(t + 2, n)
+            np.multiply(rows, x, out=grown[:t + 1])
+            np.multiply(rows[-1], y, out=grown[t + 1])
+            rows, cur, nxt = grown, nxt, cur
 
 
 def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
@@ -265,13 +285,26 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
               for t in cofactor_degrees]
     m2_sums = [np.zeros((t + 1, t + 1), dtype=np.float64)
                for t in cofactor_degrees]
+    # Work buffers for the largest block, allocated once per call: every
+    # chunk reuses them, so the sampling loop allocates nothing sizeable.
+    size = (t_hi + 1) * min(_CHUNK, quad.sphere_samples)
+    work = (np.empty(size, dtype=np.complex128),
+            np.empty(size, dtype=np.complex128))
+    conj = np.empty(size, dtype=np.complex128)
+    abs2, imag2 = np.empty(size), np.empty(size)
     for x, y in _sphere_chunks(quad.sphere_samples, quad.seed):
         common = _weighted_modulus(arr, line_powers, m, x, y)
         for rows, s_sum, m2_sum in zip(
-                _cofactor_blocks(common, x, y, t_lo, t_hi), s_sums, m2_sums):
-            s_sum += rows @ rows.conj().T
-            abs2 = rows.real ** 2 + rows.imag ** 2
-            m2_sum += abs2 @ abs2.T
+                _cofactor_blocks(common, x, y, t_lo, t_hi, work),
+                s_sums, m2_sums):
+            shape, used = rows.shape, rows.size
+            rows_c = np.conjugate(rows, out=conj[:used].reshape(shape))
+            s_sum += rows @ rows_c.T
+            a2 = np.multiply(rows.real, rows.real,
+                             out=abs2[:used].reshape(shape))
+            a2 += np.multiply(rows.imag, rows.imag,
+                              out=imag2[:used].reshape(shape))
+            m2_sum += a2 @ a2.T
 
     n = float(quad.sphere_samples)
     s_hom = 2 * m * arr.total_mass

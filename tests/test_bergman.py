@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pshlab import bergman
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.bergman import (
     EmptyBasisError,
@@ -90,6 +91,21 @@ def test_gram_determinism_bitwise():
     assert np.array_equal(g1.stderr, g2.stderr)
     assert np.array_equal(g1.transform, g2.transform)
 
+
+def test_gram_independent_of_chunk_size(monkeypatch):
+    # the sampler and the row blocks reuse their buffers from chunk to chunk
+    # (here 11 chunks, the last one short): same points, same sums
+    quad = QuadratureSpec(max_degree=8, sphere_samples=10_500, seed=42)
+    points = sphere_points(quad.sphere_samples, quad.seed)
+    whole = gram_matrix(THEOREM1, 2, quad)
+    monkeypatch.setattr(bergman, "_CHUNK", 1000)
+    assert np.array_equal(sphere_points(quad.sphere_samples, quad.seed),
+                          points)
+    chunked = gram_matrix(THEOREM1, 2, quad)
+    diag = np.sqrt(np.diag(whole.gram).real)
+    err = np.abs(chunked.gram - whole.gram) / np.outer(diag, diag)
+    assert err.max() < 1e-12
+    assert np.allclose(chunked.stderr, whole.stderr, rtol=1e-9, atol=0.0)
 
 def test_gram_positive_semidefinite():
     result = gram_matrix(THEOREM1, 1, QuadratureSpec(10, 50_000, 7))
