@@ -6,6 +6,8 @@ arithmetic; the numeric side rebuilds the same weights from orthonormal
 bases of weighted Bergman spaces and cross-checks slopes and memberships.
 """
 
+import importlib
+
 from .arrangement import (
     ArrangementError,
     DuplicateLineError,
@@ -21,23 +23,7 @@ from .arrangement import (
     preset,
     save_arrangement,
 )
-from .bergman import (
-    EmptyBasisError,
-    GramResult,
-    NonIntegrableExponentError,
-    QuadratureSpec,
-    admissible_basis,
-    bergman_phi,
-    curve_scan,
-    diagonal_curve,
-    gram_matrix,
-    kernel_values,
-    lelong_estimate,
-    radial_factor,
-    ray_curve,
-)
 from .gaussian import GaussianRational
-from .integrability import IntegrabilityVerdict, integrability_estimate
 from .multiplier_ideal import (
     IdealDescriptor,
     contains,
@@ -75,6 +61,42 @@ from .singularity import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric layer needs numpy, which costs more to import than the whole
+# exact layer; its names are resolved on first access (PEP 562) so that
+# exact-only users and CLI commands never load it.
+_NUMERIC = {
+    "EmptyBasisError": "bergman",
+    "GramResult": "bergman",
+    "NonIntegrableExponentError": "bergman",
+    "QuadratureSpec": "bergman",
+    "admissible_basis": "bergman",
+    "bergman_phi": "bergman",
+    "curve_scan": "bergman",
+    "diagonal_curve": "bergman",
+    "gram_matrix": "bergman",
+    "kernel_values": "bergman",
+    "lelong_estimate": "bergman",
+    "radial_factor": "bergman",
+    "ray_curve": "bergman",
+    "IntegrabilityVerdict": "integrability",
+    "integrability_estimate": "integrability",
+}
+
+
+def __getattr__(name: str):
+    if name in ("bergman", "integrability"):
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not cached here: the submodule's own binding stays the one source,
+    # so anything that rebinds it (a monkeypatch, a tracer) is seen.
+    return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__),
+                   name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_NUMERIC))
 
 __all__ = [
     "ArrangementError",

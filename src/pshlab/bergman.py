@@ -59,8 +59,8 @@ class QuadratureSpec:
             raise ValueError(
                 f"sphere_samples must be >= {MIN_SPHERE_SAMPLES}"
             )
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise ValueError("radius must be positive and finite")
 
     def with_max_degree(self, n: int) -> "QuadratureSpec":
         return QuadratureSpec(n, self.sphere_samples, self.seed, self.radius)

@@ -13,8 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import __version__
 from .arrangement import (
@@ -23,14 +22,6 @@ from .arrangement import (
     lct,
     load_arrangement,
     preset,
-)
-from .bergman import (
-    QuadratureSpec,
-    curve_scan,
-    diagonal_curve,
-    gram_matrix,
-    lelong_estimate,
-    ray_curve,
 )
 from .multiplier_ideal import generator_strings, generators
 from .sequence import (
@@ -148,24 +139,28 @@ def _resolve_arrangement(args) -> WeightedArrangement:
         raise UsageError(str(exc)) from exc
 
 
-def _emit(args, payload: dict, csv_rows: list[list] | None,
-          markdown: str | None) -> None:
+def _emit(args, to_json: Callable[[], dict],
+          to_csv: Callable[[], list[list]] | None = None,
+          to_markdown: Callable[[], str] | None = None) -> None:
+    """Render the report in the requested format only: each renderer is
+    called at most once, and only the one `--format` names."""
     if args.format == "json":
+        payload = to_json()
         if not args.no_timestamp:
             payload = dict(payload)
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
+        if to_csv is None:
             raise UsageError(f"command {args.command} has no CSV form")
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
+        writer.writerows(to_csv())
         text = buffer.getvalue()
     else:
-        if markdown is None:
+        if to_markdown is None:
             raise UsageError(f"command {args.command} has no markdown form")
-        text = markdown + "\n"
+        text = to_markdown() + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -182,43 +177,48 @@ def _cmd_analyze(args) -> int:
         ms = args.m if args.m else [1]
     if any(m < 1 for m in ms):
         raise UsageError("approximation indices must be >= 1")
-    results = []
-    for m in ms:
-        ent = entry(arr, m)
-        results.append({
-            "m": m,
-            "ideal": ent.ideal.to_dict(),
-            "generators": generator_strings(arr, ent.ideal),
-            "generator_terms": [g.to_term_list()
-                                for g in generators(arr, ent.ideal)],
-            "class": ent.cls.to_dict(),
-            "lelong": str(lelong(ent.cls)),
-        })
-    payload = {
-        "command": "analyze",
-        "arrangement": arr.describe(),
-        "results": results,
-    }
-    csv_rows = [["m", "b", "p", "gamma", "delta", "nu"]]
-    for r in results:
-        csv_rows.append([
-            r["m"],
-            ";".join(str(v) for v in r["ideal"]["b"]),
-            r["ideal"]["p"],
-            ";".join(r["class"]["gamma"]),
-            r["class"]["delta"],
-            r["lelong"],
-        ])
-    md_lines = ["| m | ideal (b; p) | generators | gamma | delta | nu |",
-                "|---|--------------|------------|-------|-------|----|"]
-    for r in results:
-        md_lines.append(
-            f"| {r['m']} | {r['ideal']['b']}; {r['ideal']['p']} "
-            f"| {', '.join(r['generators'])} "
-            f"| ({', '.join(r['class']['gamma'])}) "
-            f"| {r['class']['delta']} | {r['lelong']} |"
-        )
-    _emit(args, payload, csv_rows, "\n".join(md_lines))
+    entries = [entry(arr, m) for m in ms]
+
+    def to_json() -> dict:
+        return {
+            "command": "analyze",
+            "arrangement": arr.describe(),
+            "results": [{
+                "m": ent.m,
+                "ideal": ent.ideal.to_dict(),
+                "generators": generator_strings(arr, ent.ideal),
+                "generator_terms": [g.to_term_list()
+                                    for g in generators(arr, ent.ideal)],
+                "class": ent.cls.to_dict(),
+                "lelong": str(lelong(ent.cls)),
+            } for ent in entries],
+        }
+
+    def to_csv() -> list[list]:
+        rows = [["m", "b", "p", "gamma", "delta", "nu"]]
+        rows += [[
+            ent.m,
+            ";".join(str(v) for v in ent.ideal.b),
+            ent.ideal.p,
+            ";".join(str(g) for g in ent.cls.gamma),
+            str(ent.cls.delta),
+            str(lelong(ent.cls)),
+        ] for ent in entries]
+        return rows
+
+    def to_markdown() -> str:
+        lines = ["| m | ideal (b; p) | generators | gamma | delta | nu |",
+                 "|---|--------------|------------|-------|-------|----|"]
+        for ent in entries:
+            lines.append(
+                f"| {ent.m} | {list(ent.ideal.b)}; {ent.ideal.p} "
+                f"| {', '.join(generator_strings(arr, ent.ideal))} "
+                f"| ({', '.join(str(g) for g in ent.cls.gamma)}) "
+                f"| {ent.cls.delta} | {lelong(ent.cls)} |"
+            )
+        return "\n".join(lines)
+
+    _emit(args, to_json, to_csv, to_markdown)
     return 0
 
 
@@ -245,8 +245,8 @@ def _cmd_sequence(args) -> int:
         report = monotonicity_report(arr, args.m_max, indices)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {"command": "sequence", **report.to_dict()}
-    _emit(args, payload, report.to_csv_rows(), report.to_markdown())
+    _emit(args, lambda: {"command": "sequence", **report.to_dict()},
+          report.to_csv_rows, report.to_markdown)
     return 0
 
 
@@ -256,23 +256,28 @@ def _cmd_compare(args) -> int:
         raise UsageError("indices must be >= 1")
     e1, e2 = entry(arr, args.m1), entry(arr, args.m2)
     result = compare(e1.cls, e2.cls)
-    payload = {
-        "command": "compare",
-        "arrangement": arr.describe(),
-        "m1": args.m1,
-        "m2": args.m2,
-        "class1": e1.cls.to_dict(),
-        "class2": e2.cls.to_dict(),
-        "comparison": result.to_dict(),
-    }
-    md = (
-        f"phi_{args.m1} vs phi_{args.m2}: {result.relation.value}"
-        + (
-            "\nwitness: " + "; ".join(str(w) for w in result.witnesses)
-            if result.witnesses else ""
+
+    def to_json() -> dict:
+        return {
+            "command": "compare",
+            "arrangement": arr.describe(),
+            "m1": args.m1,
+            "m2": args.m2,
+            "class1": e1.cls.to_dict(),
+            "class2": e2.cls.to_dict(),
+            "comparison": result.to_dict(),
+        }
+
+    def to_markdown() -> str:
+        return (
+            f"phi_{args.m1} vs phi_{args.m2}: {result.relation.value}"
+            + (
+                "\nwitness: " + "; ".join(str(w) for w in result.witnesses)
+                if result.witnesses else ""
+            )
         )
-    )
-    _emit(args, payload, None, md)
+
+    _emit(args, to_json, None, to_markdown)
     return 0
 
 
@@ -282,12 +287,13 @@ def _cmd_lct(args) -> int:
         value = lct(arr)
     except ArrangementError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {
-        "command": "lct",
-        "arrangement": arr.describe(),
-        "lct": str(value),
-    }
-    _emit(args, payload, [["lct"], [str(value)]], f"lct = {value}")
+    _emit(
+        args,
+        lambda: {"command": "lct", "arrangement": arr.describe(),
+                 "lct": str(value)},
+        lambda: [["lct"], [str(value)]],
+        lambda: f"lct = {value}",
+    )
     return 0
 
 
@@ -297,14 +303,20 @@ def _cmd_verify_paper(args) -> int:
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
     report = verify_paper(names)
-    payload = {"command": "verify-paper", **report.to_dict()}
-    csv_rows = [["claim", "passed"]]
-    csv_rows += [[r.claim_id, str(r.passed)] for r in report.results]
-    _emit(args, payload, csv_rows, report.to_markdown())
+
+    def to_csv() -> list[list]:
+        return [["claim", "passed"]] + [
+            [r.claim_id, str(r.passed)] for r in report.results
+        ]
+
+    _emit(args, lambda: {"command": "verify-paper", **report.to_dict()},
+          to_csv, report.to_markdown)
     return 0 if report.all_passed else 1
 
 
 def _parse_curve(spec: str):
+    from .bergman import diagonal_curve, ray_curve
+
     spec = spec.strip().lower()
     if spec in {"x=y", "diag", "diagonal"}:
         return diagonal_curve, "x=y"
@@ -322,7 +334,31 @@ def _parse_curve(spec: str):
     raise UsageError(f"unknown curve {spec!r}; use x=y or dir:re,im,re,im")
 
 
+def _require_finite(what: str, values, hint: str) -> None:
+    """A non-finite slope or kernel value is no result: report it as an
+    error instead of printing a verdict computed from it."""
+    import numpy as np
+
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{what} is not finite ({hint})")
+
+
+def _radius_guard(args, estimate, *pos, **kw):
+    """Run a numeric estimate; a radial factor radius**power that leaves
+    the float range is a usage error, not a traceback."""
+    try:
+        return estimate(*pos, **kw)
+    except OverflowError as exc:
+        raise UsageError(
+            f"--radius {args.radius} overflows the radial factor"
+        ) from exc
+
+
 def _cmd_bergman(args) -> int:
+    import numpy as np
+
+    from .bergman import QuadratureSpec, curve_scan, gram_matrix, lelong_estimate
+
     arr = _resolve_arrangement(args)
     try:
         quad = QuadratureSpec(
@@ -346,51 +382,74 @@ def _cmd_bergman(args) -> int:
         curve, curve_name = _parse_curve(args.curve)
         if not (0 < args.tmin < args.tmax):
             raise UsageError("need 0 < tmin < tmax")
+        if args.points < 2:
+            raise UsageError("a slope needs --points >= 2")
         t = np.geomspace(args.tmin, args.tmax, args.points)
-        scan = curve_scan(arr, args.m1, args.m2, curve, t, quad)
+        scan = _radius_guard(args, curve_scan, arr, args.m1, args.m2,
+                             curve, t, quad)
+        hint = "does the curve lie on a line, or is --radius far from 1?"
+        _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
+        _require_finite(f"phi_{args.m2} along {curve_name}", scan.phi2, hint)
+        _require_finite(f"the slope along {curve_name}", scan.slope, hint)
         verdict = "UNBOUNDED" if scan.slope < -args.slope_tol else "BOUNDED"
-        payload = {
-            "command": "bergman-scan",
-            "arrangement": arr.describe(),
-            "curve": curve_name,
-            "seed": args.seed,
-            "sphere_samples": args.samples,
-            "verdict": verdict,
-            **scan.to_dict(),
-        }
-        csv_rows = [["t", "phi_m1", "phi_m2", "delta"]]
-        csv_rows += [[repr(v) for v in row] for row in scan.rows()]
-        md = (
+
+        def to_json() -> dict:
+            return {
+                "command": "bergman-scan",
+                "arrangement": arr.describe(),
+                "curve": curve_name,
+                "seed": args.seed,
+                "sphere_samples": args.samples,
+                "verdict": verdict,
+                **scan.to_dict(),
+            }
+
+        def to_csv() -> list[list]:
+            return [["t", "phi_m1", "phi_m2", "delta"]] + [
+                [repr(v) for v in row] for row in scan.rows()
+            ]
+
+        _emit(args, to_json, to_csv, lambda: (
             f"Delta = phi_{args.m2} - phi_{args.m1} along {curve_name}: "
             f"slope {scan.slope:+.4f} vs log t -> {verdict}"
-        )
-        _emit(args, payload, csv_rows, md)
+        ))
         return 0
 
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    est = lelong_estimate(arr, args.m, quad, rays=args.rays)
+    if args.rays < 1:
+        raise UsageError("--rays must be >= 1")
+    est = _radius_guard(args, lelong_estimate, arr, args.m, quad,
+                        rays=args.rays)
+    _require_finite(f"a ray slope of phi_{args.m}", est.per_ray,
+                    "is --radius far from 1?")
     symbolic = lelong(entry(arr, args.m).cls)
-    payload = {
-        "command": "bergman-rays",
-        "arrangement": arr.describe(),
-        "seed": args.seed,
-        "sphere_samples": args.samples,
-        "symbolic_lelong": str(symbolic),
-        **est.to_dict(),
-    }
-    if args.audit_gram:
-        result = gram_matrix(
-            arr, args.m, quad.with_max_degree(est.max_degree_used)
-        )
-        payload["gram"] = result.to_dict()
-    csv_rows = [["ray", "slope"]]
-    csv_rows += [[i, repr(s)] for i, s in enumerate(est.per_ray)]
-    md = (
+
+    def to_json() -> dict:
+        payload = {
+            "command": "bergman-rays",
+            "arrangement": arr.describe(),
+            "seed": args.seed,
+            "sphere_samples": args.samples,
+            "symbolic_lelong": str(symbolic),
+            **est.to_dict(),
+        }
+        if args.audit_gram:
+            result = gram_matrix(
+                arr, args.m, quad.with_max_degree(est.max_degree_used)
+            )
+            payload["gram"] = result.to_dict()
+        return payload
+
+    def to_csv() -> list[list]:
+        return [["ray", "slope"]] + [
+            [i, repr(s)] for i, s in enumerate(est.per_ray)
+        ]
+
+    _emit(args, to_json, to_csv, lambda: (
         f"lelong(phi_{args.m}) ~ {est.value:.4f} over {args.rays} rays "
         f"(symbolic {symbolic})"
-    )
-    _emit(args, payload, csv_rows, md)
+    ))
     return 0
 
 

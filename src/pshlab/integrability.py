@@ -48,7 +48,6 @@ class _Mesh:
 
     def __init__(self, arr: WeightedArrangement, n_annuli: int, depth: int):
         unit_x, unit_y, unit_logvol, level, line_id = _unit_annulus(arr, depth)
-        n_unit = unit_x.size
         k = np.arange(n_annuli, dtype=float)[:, None]
         scale = np.exp2(-k)
         self.n_annuli = n_annuli
@@ -72,7 +71,6 @@ class _Mesh:
             for i in range(len(arr.lines))
             for s in range(1, depth + 1)
         }
-        _ = n_unit  # columns of every 2-d array above
 
 
 def _unit_annulus(arr: WeightedArrangement, depth: int):

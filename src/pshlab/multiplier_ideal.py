@@ -10,7 +10,6 @@ of the maximal ideal, which is the normal form stored here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,8 +39,11 @@ def ideal_of(arr: WeightedArrangement, c) -> IdealDescriptor:
     c = to_fraction(c)
     if c < 0:
         raise ValueError("multiplier ideal parameter must be nonnegative")
-    b = tuple(math.floor(c * a) for a in arr.coeffs)
-    e = math.floor(c * arr.total_mass) - 1
+    # floor(c*a) as one integer division: n*a_num // (d*a_den), d*a_den > 0
+    n, d = c.numerator, c.denominator
+    b = tuple(n * a.numerator // (d * a.denominator) for a in arr.coeffs)
+    total = arr.total_mass
+    e = n * total.numerator // (d * total.denominator) - 1
     p = max(0, e - sum(b))
     return IdealDescriptor(b=b, e=e, p=p)
 

@@ -76,7 +76,7 @@ class SingularityClass:
     gamma: tuple[Fraction, ...]
     delta: Fraction
 
-    @property
+    @functools.cached_property
     def total(self) -> Fraction:
         return sum(self.gamma, Fraction(0)) + self.delta
 
@@ -111,10 +111,11 @@ def class_of_ideal(arr: WeightedArrangement, ideal: IdealDescriptor, m
     m = to_fraction(m)
     if m <= 0:
         raise ValueError("approximation index m must be positive")
+    num, den = m.numerator, m.denominator
     return SingularityClass(
         key=arr.key,
-        gamma=tuple(Fraction(v) / m for v in ideal.b),
-        delta=Fraction(ideal.p) / m,
+        gamma=tuple(Fraction(v * den, num) for v in ideal.b),
+        delta=Fraction(ideal.p * den, num),
     )
 
 
@@ -157,10 +158,6 @@ def compare(s1: SingularityClass, s2: SingularityClass) -> ComparisonResult:
 def lelong(s: SingularityClass) -> Fraction:
     """Lelong number at the origin: the generic slope sum(gamma) + delta."""
     return s.total
-
-
-def class_to_dict(s: SingularityClass) -> dict:
-    return s.to_dict()
 
 
 def class_from_dict(arr: WeightedArrangement, data: dict) -> SingularityClass:

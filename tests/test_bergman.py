@@ -37,6 +37,9 @@ def test_quadrature_spec_validation():
         QuadratureSpec(max_degree=-1, sphere_samples=10_000, seed=1)
     with pytest.raises(ValueError):
         QuadratureSpec(max_degree=8, sphere_samples=10_000, seed=1, radius=0.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(max_degree=8, sphere_samples=10_000, seed=1,
+                       radius=math.inf)
 
 
 def test_radial_factor_values():

@@ -198,3 +198,127 @@ def test_bergman_csv_table(capsys):
 def test_usage_requires_m_flags():
     proc = run_cli(["bergman", "--preset", "theorem1"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("flags", [
+    # y = 0 is a line of theorem1: phi_hat is -inf all along it
+    ["--m1", "3", "--m2", "4", "--curve", "dir:1,0,0,0"],
+    # radius**power underflows to 0: every block has rank 0
+    ["--m", "3", "--radius", "1e-200"],
+    # radius**power overflows the float range
+    ["--m", "3", "--radius", "1e30"],
+    ["--m", "3", "--radius", "inf"],
+    ["--m1", "3", "--m2", "4", "--points", "0"],
+    ["--m1", "3", "--m2", "4", "--points", "1"],
+    ["--m", "3", "--rays", "0"],
+], ids=["curve-in-line", "radius-underflow", "radius-overflow",
+        "radius-inf", "points-0", "points-1", "rays-0"])
+def test_bergman_degenerate_input_exits_2(flags, capsys):
+    rc = main(["bergman", "--preset", "theorem1", "--samples", "10000",
+               *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""  # no verdict, no estimate
+    assert err.startswith("error:")
+
+
+_EXACT_COMMANDS = [
+    ["lct", "--preset", "theorem1"],
+    ["compare", "--preset", "theorem1", "--m1", "4", "--m2", "3"],
+    ["sequence", "--preset", "theorem1", "--m-max", "20", "--format", "csv"],
+    ["verify-paper", "--claims", "thm1"],
+    ["analyze", "--preset", "theorem1", "--m", "4"],
+]
+
+
+def test_exact_paths_do_not_import_numpy():
+    probe = (
+        "import sys\n"
+        "import pshlab\n"
+        "assert 'numpy' not in sys.modules, 'import pshlab loaded numpy'\n"
+        "assert pshlab.gram_matrix is pshlab.bergman.gram_matrix\n"
+        "assert pshlab.bergman.MIN_SPHERE_SAMPLES > 0\n"
+        "from pshlab import integrability_estimate, QuadratureSpec\n"
+        "ns = {}\n"
+        "exec('from pshlab import *', ns)\n"
+        "missing = set(pshlab.__all__) - set(ns)\n"
+        "assert not missing, missing\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for args in _EXACT_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pshlab", *args,
+             "--no-timestamp"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "pshlab.cli" in imported
+        assert "numpy" not in imported, args
+
+
+def _rows_from_json(text):
+    payload = json.loads(text)
+    rows = []
+    for i, ent in enumerate(payload["entries"]):
+        verdict = payload["comparisons"][i - 1]["relation"] if i else None
+        rows.append((ent["m"], tuple(ent["ideal"]["b"]), ent["ideal"]["p"],
+                     tuple(ent["class"]["gamma"]), ent["class"]["delta"],
+                     ent["lelong"], verdict))
+    return rows, [tuple(v) for v in payload["violations"]]
+
+
+def _rows_from_csv(text):
+    import csv
+    table = list(csv.reader(text.splitlines()))
+    assert table[0] == ["m", "b", "p", "gamma", "delta", "nu", "vs_previous"]
+    rows = [(int(m), tuple(int(v) for v in b.split(";")), int(p),
+             tuple(gamma.split(";")), delta, nu, verdict or None)
+            for m, b, p, gamma, delta, nu, verdict in table[1:]]
+    violations = [(prev[0], row[0]) for prev, row in zip(rows, rows[1:])
+                  if row[6] in ("second_more_singular", "incomparable")]
+    return rows, violations
+
+
+_MD_VERDICTS = {
+    "-": None,
+    "equivalent": "equivalent",
+    "more singular (ok)": "first_more_singular",
+    "less singular (VIOLATION)": "second_more_singular",
+    "incomparable (VIOLATION)": "incomparable",
+}
+
+
+def _rows_from_md(text):
+    lines = text.splitlines()
+    rows, violations = [], []
+    for line in lines[2:]:
+        if line.startswith("Violating steps: "):
+            for pair in line[len("Violating steps: "):].split(", "):
+                a, b = pair.strip("()").split(",")
+                violations.append((int(a), int(b)))
+        if not line.startswith("|"):
+            continue
+        m, b, p, gamma, delta, nu, verdict = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((int(m), tuple(int(v) for v in b.strip("[]").split(",")),
+                     int(p), tuple(gamma.strip("()").split(", ")), delta, nu,
+                     _MD_VERDICTS[verdict]))
+    return rows, violations
+
+
+def test_sequence_formats_agree(capsys):
+    parsed = {}
+    for fmt, parse in (("json", _rows_from_json), ("csv", _rows_from_csv),
+                       ("md", _rows_from_md)):
+        rc = main(["sequence", "--preset", "theorem1", "--m-max", "60",
+                   "--format", fmt, "--no-timestamp"])
+        assert rc == 0
+        parsed[fmt] = parse(capsys.readouterr().out)
+    rows, violations = parsed["json"]
+    assert len(rows) == 60 and (3, 4) in violations
+    assert parsed["csv"] == parsed["json"]
+    assert parsed["md"] == parsed["json"]
