@@ -209,14 +209,39 @@ def preset(name: str) -> WeightedArrangement:
 
 # -- file format --------------------------------------------------------
 
-def arrangement_to_dict(arr: WeightedArrangement) -> dict:
-    return arr.describe()
+# Largest numerator or denominator, in bits, that an arrangement file may
+# hold.  Far beyond any useful line or weight, and small enough that every
+# derived rational still prints within Python's int-to-str digit limit.
+MAX_RATIONAL_BITS = 1000
+
+
+def _check_size(value) -> None:
+    """Reject a file scalar whose numerator or denominator exceeds
+    MAX_RATIONAL_BITS; an exponent form like "1e100000" is refused from
+    its exponent, before the huge integer is built."""
+    if isinstance(value, (list, tuple)):
+        for part in value:
+            _check_size(part)
+        return
+    if isinstance(value, str):
+        _, _, exponent = value.strip().lower().partition("e")
+        if exponent and abs(int(exponent)) > MAX_RATIONAL_BITS:
+            raise ArrangementError(
+                f"{value!r} exceeds {MAX_RATIONAL_BITS} bits")
+    q = to_fraction(value)
+    if max(abs(q.numerator).bit_length(),
+           q.denominator.bit_length()) > MAX_RATIONAL_BITS:
+        raise ArrangementError(
+            f"a numerator or denominator of {value!r} exceeds "
+            f"{MAX_RATIONAL_BITS} bits")
 
 
 def arrangement_from_dict(data: dict) -> WeightedArrangement:
     try:
         lines = [(pair[0], pair[1]) for pair in data["lines"]]
-        return new_arrangement(lines, data["coeffs"], data.get("point_mass", 0))
+        point_mass = data.get("point_mass", 0)
+        _check_size([lines, data["coeffs"], point_mass])
+        return new_arrangement(lines, data["coeffs"], point_mass)
     except ArrangementError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError) as exc:
@@ -238,6 +263,6 @@ def load_arrangement(path: str | Path) -> WeightedArrangement:
 
 def save_arrangement(arr: WeightedArrangement, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(arrangement_to_dict(arr), indent=2, sort_keys=True) + "\n",
+        json.dumps(arr.describe(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )

@@ -4,11 +4,12 @@ phi_m is (1/2m) log of the Bergman kernel of the space of holomorphic
 functions on the unit ball that are square integrable against e^{-2m phi}.
 For arrangement weights every admissible basis element is homogeneous, so
 each inner product splits into an exact radial integral times an integral
-over the unit sphere S^3, which is estimated by seeded Monte Carlo.  The
-weight is invariant under z -> e^{i theta} z, so elements of different
-total degree are orthogonal: the Gram matrix is estimated and factorized
-one degree block at a time to an orthonormal basis, giving a computable
-lower truncation phi_hat of phi_m whose slopes near 0 recover the
+over the unit sphere S^3.  The weight is invariant under z -> e^{i theta} z,
+so elements of different total degree are orthogonal, and the same-degree
+sphere integrands are constant on the Hopf fibres: their means are
+integrals over CP^1, taken with a deterministic rule graded toward the
+line points.  The Gram matrix is computed and factorized one degree block
+at a time to an orthonormal basis, giving a computable lower truncation phi_hat of phi_m whose slopes near 0 recover the
 symbolic singularity data.  The kernel is evaluated in log space by
 homogeneity, so high degrees neither underflow nor overflow.
 
@@ -18,13 +19,15 @@ membership); the quadrature never gets to vote on integrability.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrangement import WeightedArrangement
+from .arrangement import Line, WeightedArrangement
 from .multiplier_ideal import ideal_of, min_admissible_degree
 from .polynomials import BivariatePolynomial
 
@@ -32,6 +35,17 @@ MIN_SPHERE_SAMPLES = 10_000
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 _CHUNK = 1 << 13
+# Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
+# Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
+# so that the node set does not depend on the degree cutoff.  The angular
+# modes of a cofactor-degree-t block run from -t to t, so the trapezoid rule
+# takes every one of them exactly only while t < HOPF_ANGLES: that is the
+# largest cofactor degree `gram_matrix` accepts.
+HOPF_JACOBI, HOPF_LEGENDRE, HOPF_ANGLES = 16, 16, 48
+# Smallest Gauss-Jacobi disc: 64 dyadic panels at most.  Line points closer
+# than about 2^-31 in chordal distance are barely told apart by the double
+# precision values of the line forms at the nodes anyway.
+HOPF_MIN_S1 = 2.0 ** -64
 
 
 class NonIntegrableExponentError(ArithmeticError):
@@ -43,9 +57,19 @@ class EmptyBasisError(ValueError):
     """No admissible basis element exists below the degree cutoff."""
 
 
+class DegreeCutoffError(ValueError):
+    """The degree cutoff asks for cofactor degrees beyond the range that
+    the fixed Hopf rule integrates exactly in its angle."""
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation and sampling parameters for the Gram estimation."""
+    """Truncation parameters for the Gram computation.
+
+    The Gram itself is deterministic.  `seed` picks the rays of
+    `lelong_estimate`; `sphere_samples` and `seed` fix the Monte Carlo
+    sample of `sphere_points` that cross-checks of the rule draw.
+    """
 
     max_degree: int
     sphere_samples: int
@@ -63,7 +87,7 @@ class QuadratureSpec:
             raise ValueError("radius must be positive and finite")
 
     def with_max_degree(self, n: int) -> "QuadratureSpec":
-        return QuadratureSpec(n, self.sphere_samples, self.seed, self.radius)
+        return replace(self, max_degree=n)
 
 
 def _basis_layout(arr: WeightedArrangement, m: int, max_degree: int
@@ -110,67 +134,143 @@ def radial_factor(d_total: int, s, radius: float = 1.0) -> float:
     return radius ** power / power
 
 
-def _sphere_chunks(count: int, seed: int):
-    """Yield `count` uniform points on S^3 as (x, y) arrays of at most
-    _CHUNK points each, deterministic in the seed.
-
-    Uses a counter-based generator so the stream is a pure function of
-    (seed, index); the normal draws are sequential, so every consumer of
-    this generator sees the same points whatever it does with a chunk.
-    The yielded arrays are overwritten by the next chunk: copy what must
-    outlive it.
-    """
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    size = min(_CHUNK, count)
-    raw = np.empty((size, 4))
-    norm = np.empty(size)
-    x = np.empty(size, dtype=np.complex128)
-    y = np.empty(size, dtype=np.complex128)
-    done = 0
-    while done < count:
-        take = min(size, count - done)
-        r, nv, xv, yv = raw[:take], norm[:take], x[:take], y[:take]
-        gen.standard_normal(out=r)
-        np.sqrt(np.einsum("ij,ij->i", r, r), out=nv)
-        nv[nv == 0.0] = 1.0
-        np.divide(1.0, nv, out=nv)
-        np.multiply(r[:, 0], nv, out=xv.real)
-        np.multiply(r[:, 1], nv, out=xv.imag)
-        np.multiply(r[:, 2], nv, out=yv.real)
-        np.multiply(r[:, 3], nv, out=yv.imag)
-        yield xv, yv
-        done += take
-
-
 def sphere_points(count: int, seed: int) -> np.ndarray:
-    """`count` uniform points on S^3 in C^2, deterministic in the seed:
-    exactly the points `gram_matrix` samples for the same seed."""
-    out = np.empty((count, 2), dtype=np.complex128)
-    done = 0
-    for x, y in _sphere_chunks(count, seed):
-        out[done:done + len(x), 0] = x
-        out[done:done + len(x), 1] = y
-        done += len(x)
-    return out
+    """`count` uniform points on S^3 in C^2, deterministic in the seed
+    (a counter-based generator, so the stream is a pure function of
+    (seed, index)): the Monte Carlo sample that checks the Hopf rule."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    raw = gen.standard_normal((count, 4))
+    norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+    norm[norm == 0.0] = 1.0
+    raw *= (1.0 / norm)[:, None]
+    return raw.view(np.complex128)  # rows (re x, im x, re y, im y)
+
+
+def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, 1] for the weight s^alpha (alpha > -1).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    polynomials orthogonal for (1 + x)^alpha on [-1, 1], mapped by
+    s = (1 + x) / 2; the weights are the squared first eigenvector
+    components times the weight's mass 1 / (alpha + 1).
+    """
+    k = np.arange(1, n, dtype=np.float64)
+    two_k = 2.0 * k + alpha
+    diag = np.empty(n)
+    diag[0] = alpha / (alpha + 2.0)
+    diag[1:] = alpha ** 2 / (two_k * (two_k + 2.0))
+    off = 2.0 * k * (k + alpha) / (two_k * np.sqrt((two_k + 1.0)
+                                                   * (two_k - 1.0)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, vectors = np.linalg.eigh(jacobi)
+    return (1.0 + x) / 2.0, vectors[0] ** 2 / (alpha + 1.0)
+
+
+def _chordal2(a: Line, b: Line) -> Fraction:
+    """Squared chordal distance |<p_a, n_b>|^2 = 1 - |<p_a, p_b>|^2 of the
+    points of two lines on CP^1, exact in Q(i), so that close lines do not
+    cancel to 0 in floating point."""
+    cross = a.cx * b.cy - a.cy * b.cx
+    return cross.abs2() / ((a.cx.abs2() + a.cy.abs2())
+                           * (b.cx.abs2() + b.cy.abs2()))
+
+
+def _hopf_charts(arr: WeightedArrangement):
+    """One polar chart per line: (line point p, unit normal n, s1).
+
+    s1 is the largest power of 2 at most a quarter of the squared chordal
+    distance to the nearest other line point, so the Gauss-Jacobi disc
+    [0, s1] holds no other singularity and closer lines get more dyadic
+    panels; it is at least HOPF_MIN_S1.  Without lines, one chart around
+    (1, 0).
+    """
+    if not arr.lines:
+        return [((1.0 + 0j, 0j), (0j, 1.0 + 0j), 0.25)]
+    charts = []
+    for line in arr.lines:
+        near = min((_chordal2(line, other) for other in arr.lines
+                    if other != line), default=Fraction(1))
+        _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
+        charts.append((line.direction(), line.unit_normal(), 2.0 ** (exp - 1)))
+    return charts
+
+
+def _radial_rule(alpha: float, s1: float,
+                 legendre: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and plain weights for ds on [0, 1]: Gauss-Jacobi for s^alpha
+    on [0, s1] (its weights divided by s^alpha), then the Gauss-Legendre
+    rule `legendre` of [0, 1] on the panels [s1, 2 s1], ..., [1/2, 1]."""
+    sj, wj = _gauss_jacobi(HOPF_JACOBI, alpha)
+    nodes, weights = [s1 * sj], [s1 * wj / sj ** alpha]
+    sl, wl = legendre
+    edge = s1
+    while edge < 1.0:
+        nodes.append(edge * (1.0 + sl))
+        weights.append(edge * wl)
+        edge *= 2.0
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (x, y) on S^3 and weights w with sum(w * F) ~ the S^3 mean of
+    any Hopf-fibre invariant F carrying the factor prod |ell_j|^(2 e_j).
+
+    Chart j is q = sqrt(1-s) p_j + sqrt(s) e^{i phi} n_j with measure
+    ds dphi / 2pi (the normalized area of CP^1), in which
+    |ell_j(q)| = |ell_j| sqrt(s).  The charts are joined by the Shepard
+    partition of unity chi_j = s_j^-3 / sum_i s_i^-3 with
+    s_i = |ell_i(q)|^2 / |ell_i|^2, so they cover CP^1 without a
+    background rule.  A node that lands exactly on another line carries
+    chi_j = 0 and is dropped.
+    """
+    if not exponents:
+        exponents = (0.0,)
+    phase = np.exp(2j * np.pi * np.arange(HOPF_ANGLES) / HOPF_ANGLES)
+    legendre = _gauss_jacobi(HOPF_LEGENDRE, 0.0)
+    norms2 = [line.coeff_norm() ** 2 for line in arr.lines]
+    xs, ys, ws = [], [], []
+    for j, ((p, n, s1), e) in enumerate(zip(_hopf_charts(arr), exponents)):
+        s, w = _radial_rule(float(e), s1, legendre)
+        inner = np.sqrt(1.0 - s)[:, None]
+        outer = np.sqrt(s)[:, None] * phase
+        x = (inner * p[0] + outer * n[0]).ravel()
+        y = (inner * p[1] + outer * n[1]).ravel()
+        w = np.repeat(w / HOPF_ANGLES, HOPF_ANGLES)
+        if len(arr.lines) > 1:
+            dist = np.array([np.abs(line.evaluate(x, y)) ** 2 / norm2
+                             for line, norm2 in zip(arr.lines, norms2)])
+            with np.errstate(divide="ignore"):
+                w = w / np.sum((dist[j] / dist) ** 3, axis=0)
+            keep = w > 0.0
+            x, y, w = x[keep], y[keep], w[keep]
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
 @dataclass(frozen=True)
 class GramBlock:
     """The basis elements of one total degree: their positions in the basis
-    order and the orthonormalizing transform of their Gram block."""
+    order, their Gram block and the orthonormalizing transform."""
 
     degree: int
     span: slice
+    gram: np.ndarray  # block size x block size, Hermitian
     transform: np.ndarray  # block size x block rank
 
 
 @dataclass
 class GramResult:
-    """Estimated Gram data of the admissible basis for one (arr, m).
+    """Gram data of the admissible basis for one (arr, m).
 
     Entries between different total degrees vanish exactly (the weight is
-    invariant under z -> e^{i theta} z) and are stored as exact zeros with
-    zero standard error; only the same-degree blocks are estimated.
+    invariant under z -> e^{i theta} z), so only the same-degree blocks are
+    computed and stored.  The dense k x k `gram`, with exact zeros across
+    degrees, is assembled from them on first access.  `nodes` is the
+    number of Hopf rule nodes used.
     """
 
     m: int
@@ -178,16 +278,29 @@ class GramResult:
     line_powers: tuple[int, ...]
     monomials: list[tuple[int, int]]
     degrees: np.ndarray
-    gram: np.ndarray
-    stderr: np.ndarray
     blocks: list[GramBlock]
     effective_rank: int
     degenerate: bool
+    nodes: int
     _arr: WeightedArrangement
 
     @property
     def basis_size(self) -> int:
         return len(self.monomials)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        out = np.zeros((self.basis_size, self.basis_size),
+                       dtype=np.complex128)
+        for block in self.blocks:
+            out[block.span, block.span] = block.gram
+        return out
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Standard errors of the Gram entries: all 0, since the rule is
+        deterministic (its convergence is checked by the test suite)."""
+        return np.zeros((self.basis_size, self.basis_size))
 
     @property
     def transform(self) -> np.ndarray:
@@ -209,6 +322,7 @@ class GramResult:
         return {
             "m": self.m,
             "max_degree": self.spec.max_degree,
+            "quadrature_nodes": self.nodes,
             "sphere_samples": self.spec.sphere_samples,
             "seed": self.spec.seed,
             "radius": self.spec.radius,
@@ -223,18 +337,27 @@ class GramResult:
         }
 
 
+def _line_exponents(arr: WeightedArrangement, line_powers: Sequence[int],
+                    m: int) -> list[float]:
+    """e_j = b_j - m a_j, the exponent of |ell_j| in |prod ell^b| sqrt(w);
+    each lies in (-1, 0]."""
+    return [float(power - m * a) for power, a in zip(line_powers, arr.coeffs)]
+
+
 def _weighted_modulus(arr: WeightedArrangement, line_powers: Sequence[int],
-                      m: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|prod ell_i^{b_i}| * sqrt(w) = prod |ell_i|^{b_i - m a_i}.
+                      m: int, x: np.ndarray, y: np.ndarray,
+                      scale: np.ndarray) -> np.ndarray:
+    """|prod ell_i^{b_i}| * sqrt(w) = prod |ell_i|^{b_i - m a_i}, times
+    `scale` (the square roots of the quadrature weights).
 
     Each exponent lies in (-1, 0], so no factor overflows or underflows
     however large m is.  The phase of prod ell_i^{b_i} is common to every
     basis element and cancels in each Gram product f_j * conj(f_k), so it
     is never formed.
     """
-    out = np.ones(len(x))
-    for line, power, a in zip(arr.lines, line_powers, arr.coeffs):
-        out *= np.abs(line.evaluate(x, y)) ** float(power - m * a)
+    out = scale.copy()
+    for line, e in zip(arr.lines, _line_exponents(arr, line_powers, m)):
+        out *= np.abs(line.evaluate(x, y)) ** e
     return out
 
 
@@ -267,72 +390,70 @@ def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
                 ) -> GramResult:
-    """Monte Carlo Gram matrix of the admissible basis with per-entry
-    standard errors and the orthonormalizing transform, estimated one
-    degree block at a time."""
+    """Gram matrix of the admissible basis, one degree block at a time,
+    with the orthonormalizing transform.
+
+    Each block is sum(rows * conj(rows)^T) over the Hopf rule nodes, rows
+    being the weighted basis values scaled by the square roots of the node
+    weights.
+    """
     line_powers, base, monos = _basis_layout(arr, m, quad.max_degree)
     if not monos:
         raise EmptyBasisError(
             f"no admissible element of degree <= {quad.max_degree} for m={m} "
             f"(minimal admissible degree is {min_admissible_degree(arr, m)})"
         )
-    k = len(monos)
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
     t_lo, t_hi = sum(monos[0]), sum(monos[-1])
+    if t_hi >= HOPF_ANGLES:
+        raise DegreeCutoffError(
+            f"degree cutoff {quad.max_degree} reaches cofactor degree {t_hi} "
+            f"for m={m}; the quadrature rule is exact in its angle only "
+            f"below {HOPF_ANGLES} (max degree "
+            f"{base + HOPF_ANGLES - 1} here)"
+        )
     cofactor_degrees = range(t_lo, t_hi + 1)
+    x, y, w = _hopf_nodes(arr, _line_exponents(arr, line_powers, m))
+    root_w = np.sqrt(w)
 
-    s_sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
-              for t in cofactor_degrees]
-    m2_sums = [np.zeros((t + 1, t + 1), dtype=np.float64)
-               for t in cofactor_degrees]
+    sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
+            for t in cofactor_degrees]
     # Work buffers for the largest block, allocated once per call: every
-    # chunk reuses them, so the sampling loop allocates nothing sizeable.
-    size = (t_hi + 1) * min(_CHUNK, quad.sphere_samples)
+    # chunk reuses them, so the accumulation loop allocates nothing sizeable.
+    size = (t_hi + 1) * min(_CHUNK, len(x))
     work = (np.empty(size, dtype=np.complex128),
             np.empty(size, dtype=np.complex128))
     conj = np.empty(size, dtype=np.complex128)
-    abs2, imag2 = np.empty(size), np.empty(size)
-    for x, y in _sphere_chunks(quad.sphere_samples, quad.seed):
-        common = _weighted_modulus(arr, line_powers, m, x, y)
-        for rows, s_sum, m2_sum in zip(
-                _cofactor_blocks(common, x, y, t_lo, t_hi, work),
-                s_sums, m2_sums):
-            shape, used = rows.shape, rows.size
-            rows_c = np.conjugate(rows, out=conj[:used].reshape(shape))
+    for start in range(0, len(x), _CHUNK):
+        xc, yc = x[start:start + _CHUNK], y[start:start + _CHUNK]
+        common = _weighted_modulus(arr, line_powers, m, xc, yc,
+                                   root_w[start:start + _CHUNK])
+        for rows, s_sum in zip(
+                _cofactor_blocks(common, xc, yc, t_lo, t_hi, work), sums):
+            rows_c = np.conjugate(rows, out=conj[:rows.size].reshape(
+                rows.shape))
             s_sum += rows @ rows_c.T
-            a2 = np.multiply(rows.real, rows.real,
-                             out=abs2[:used].reshape(shape))
-            a2 += np.multiply(rows.imag, rows.imag,
-                              out=imag2[:used].reshape(shape))
-            m2_sum += a2 @ a2.T
 
-    n = float(quad.sphere_samples)
     s_hom = 2 * m * arr.total_mass
-    gram = np.zeros((k, k), dtype=np.complex128)
-    stderr = np.zeros((k, k), dtype=np.float64)
-    spans = []
+    spans, grams = [], []
     start = 0
-    for t, s_sum, m2_sum in zip(cofactor_degrees, s_sums, m2_sums):
-        span = slice(start, start + t + 1)
-        start = span.stop
-        spans.append((base + t, span))
-        scale = SPHERE_AREA * radial_factor(2 * (base + t), s_hom,
-                                            quad.radius)
-        sphere_mean = s_sum / n
-        block = sphere_mean * scale
-        gram[span, span] = (block + block.conj().T) / 2.0
-        variance = np.maximum(m2_sum / n - np.abs(sphere_mean) ** 2, 0.0)
-        stderr[span, span] = np.sqrt(variance / n) * scale
+    for t, s_sum in zip(cofactor_degrees, sums):
+        spans.append((base + t, slice(start, start + t + 1)))
+        start += t + 1
+        block = s_sum * (SPHERE_AREA * radial_factor(2 * (base + t), s_hom,
+                                                     quad.radius))
+        grams.append((block + block.conj().T) / 2.0)
 
-    eigen = [np.linalg.eigh(gram[span, span]) for _, span in spans]
+    eigen = [np.linalg.eigh(gram) for gram in grams]
     lam_max = max(float(eigvals[-1]) for eigvals, _ in eigen)
     blocks = []
-    for (degree, span), (eigvals, eigvecs) in zip(spans, eigen):
+    for (degree, span), gram, (eigvals, eigvecs) in zip(spans, grams, eigen):
         keep = eigvals > RANK_TOLERANCE * lam_max
         if lam_max <= 0.0:
             keep[:] = False
         blocks.append(GramBlock(
-            degree, span, eigvecs[:, keep].conj() / np.sqrt(eigvals[keep])))
+            degree, span, gram,
+            eigvecs[:, keep].conj() / np.sqrt(eigvals[keep])))
     rank = sum(block.transform.shape[1] for block in blocks)
     return GramResult(
         m=m,
@@ -340,11 +461,10 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         line_powers=tuple(line_powers),
         monomials=list(monos),
         degrees=degrees,
-        gram=gram,
-        stderr=stderr,
         blocks=blocks,
         effective_rank=rank,
-        degenerate=rank < k,
+        degenerate=rank < len(monos),
+        nodes=len(x),
         _arr=arr,
     )
 
@@ -425,6 +545,7 @@ class RaySlopes:
     value: float
     per_ray: list[float]
     max_degree_used: int
+    nodes: int
 
     def to_dict(self) -> dict:
         return {
@@ -432,6 +553,7 @@ class RaySlopes:
             "lelong_estimate": self.value,
             "per_ray": self.per_ray,
             "max_degree_used": self.max_degree_used,
+            "quadrature_nodes": self.nodes,
         }
 
 
@@ -471,6 +593,7 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
         value=float(np.mean(slopes)),
         per_ray=slopes,
         max_degree_used=spec.max_degree,
+        nodes=result.nodes,
     )
 
 
@@ -483,6 +606,7 @@ class CurveScan:
     phi2: np.ndarray
     slope: float
     max_degree_used: tuple[int, int]
+    nodes: tuple[int, int]
 
     @property
     def delta(self) -> np.ndarray:
@@ -500,6 +624,7 @@ class CurveScan:
             "m2": self.m2,
             "slope": self.slope,
             "max_degree_used": list(self.max_degree_used),
+            "quadrature_nodes": list(self.nodes),
             "rows": [
                 {"t": r[0], "phi_m1": r[1], "phi_m2": r[2], "delta": r[3]}
                 for r in self.rows()
@@ -526,10 +651,13 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
                           np.asarray(y, dtype=np.complex128))
     phi2 = _phi_on_points(g2, np.asarray(x, dtype=np.complex128),
                           np.asarray(y, dtype=np.complex128))
-    slope = _fit_slope(np.log(t), phi2 - phi1)
+    # on a curve inside a line both phi are -inf: the slope is NaN, quietly
+    with np.errstate(invalid="ignore"):
+        slope = _fit_slope(np.log(t), phi2 - phi1)
     return CurveScan(
         m1=m1, m2=m2, t=t, phi1=phi1, phi2=phi2, slope=slope,
         max_degree_used=(spec1.max_degree, spec2.max_degree),
+        nodes=(g1.nodes, g2.nodes),
     )
 
 

@@ -110,8 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=float, default=1e-3)
     p.add_argument("--tmax", type=float, default=1e-1)
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="Monte Carlo sample size recorded in the report "
+                        "(>= 10000); the Gram itself is deterministic")
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed of the slope rays")
     p.add_argument("--max-degree", type=int, default=12)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--rays", type=int, default=8)
@@ -172,6 +175,8 @@ def _cmd_analyze(args) -> int:
     if args.m is not None and args.m_max is not None:
         raise UsageError("use either --m or --m-max")
     if args.m_max is not None:
+        if args.m_max < 1:
+            raise UsageError("--m-max must be >= 1")
         ms = list(range(1, args.m_max + 1))
     else:
         ms = args.m if args.m else [1]
@@ -343,15 +348,20 @@ def _require_finite(what: str, values, hint: str) -> None:
         raise UsageError(f"{what} is not finite ({hint})")
 
 
-def _radius_guard(args, estimate, *pos, **kw):
+def _numeric_guard(args, estimate, *pos, **kw):
     """Run a numeric estimate; a radial factor radius**power that leaves
-    the float range is a usage error, not a traceback."""
+    the float range, or a degree cutoff beyond the quadrature rule, is a
+    usage error, not a traceback."""
+    from .bergman import DegreeCutoffError
+
     try:
         return estimate(*pos, **kw)
     except OverflowError as exc:
         raise UsageError(
             f"--radius {args.radius} overflows the radial factor"
         ) from exc
+    except DegreeCutoffError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_bergman(args) -> int:
@@ -385,7 +395,7 @@ def _cmd_bergman(args) -> int:
         if args.points < 2:
             raise UsageError("a slope needs --points >= 2")
         t = np.geomspace(args.tmin, args.tmax, args.points)
-        scan = _radius_guard(args, curve_scan, arr, args.m1, args.m2,
+        scan = _numeric_guard(args, curve_scan, arr, args.m1, args.m2,
                              curve, t, quad)
         hint = "does the curve lie on a line, or is --radius far from 1?"
         _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
@@ -419,7 +429,7 @@ def _cmd_bergman(args) -> int:
         raise UsageError("--m must be >= 1")
     if args.rays < 1:
         raise UsageError("--rays must be >= 1")
-    est = _radius_guard(args, lelong_estimate, arr, args.m, quad,
+    est = _numeric_guard(args, lelong_estimate, arr, args.m, quad,
                         rays=args.rays)
     _require_finite(f"a ray slope of phi_{args.m}", est.per_ray,
                     "is --radius far from 1?")

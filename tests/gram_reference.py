@@ -1,14 +1,15 @@
-"""Reference estimator of the full Gram sphere moments, cross-degree pairs
-included, and the reference kernel evaluated directly at z.
+"""Monte Carlo reference estimator of the full Gram sphere moments,
+cross-degree pairs included, and the reference kernel evaluated directly
+at z.
 
-`gram_matrix` estimates only the same-degree blocks: the weight is
-invariant under z -> e^{i theta} z, so entries between different total
-degrees vanish exactly and are stored as zeros.  This estimator keeps
-that structure honest.  It averages every pair of basis rows over the
+`gram_matrix` integrates only the same-degree blocks, with a deterministic
+rule on CP^1: the weight is invariant under z -> e^{i theta} z, so entries
+between different total degrees vanish exactly and are stored as zeros.
+This estimator checks both.  It averages every pair of basis rows over the
 points of `sphere_points`, evaluating each row directly as
 prod ell^b * x^u * y^v * prod |ell|^(-m a), so cross-degree sample means
-must sit within sampling noise of 0 and same-degree ones must reproduce
-`gram_matrix` to rounding.  `direct_kernel` likewise checks the log-space
+must sit within sampling noise of 0 and same-degree ones within sampling
+noise of `gram_matrix`.  `direct_kernel` likewise checks the log-space
 kernel of `kernel_values` against the plain sum over the basis values.
 Direct evaluation overflows for large m; use these at small m only.
 """
@@ -64,15 +65,16 @@ def full_sphere_moments(arr, result):
 
 def full_gram(arr, result):
     """The Gram estimate of every entry from the full sphere moments,
-    scaled and symmetrized as `gram_matrix` does on its blocks."""
-    mean, _ = full_sphere_moments(arr, result)
+    scaled and symmetrized as `gram_matrix` does on its blocks, and its
+    standard errors on the same scale."""
+    mean, stderr = full_sphere_moments(arr, result)
     s_hom = 2 * result.m * arr.total_mass
     d = result.degrees
     scale = np.array([[SPHERE_AREA * radial_factor(int(dj + dk), s_hom,
                                                    result.spec.radius)
                        for dk in d] for dj in d])
     gram = mean * scale
-    return (gram + gram.conj().T) / 2.0
+    return (gram + gram.conj().T) / 2.0, stderr * scale
 
 
 def max_cross_degree_z(arr, result):

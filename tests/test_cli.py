@@ -42,6 +42,14 @@ def test_analyze_rejects_m0():
     assert "must be >= 1" in proc.stderr
 
 
+@pytest.mark.parametrize("m_max", ["0", "-3"])
+def test_analyze_rejects_empty_m_range(m_max, capsys):
+    rc = main(["analyze", "--preset", "theorem1", "--m-max", m_max])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "--m-max must be >= 1" in err
+
+
 def test_sequence_reports_violations(capsys):
     rc = main(["sequence", "--preset", "theorem1", "--m-max", "40",
                "--no-timestamp"])
@@ -125,6 +133,38 @@ def test_corrupted_arrangement_file(tmp_path):
     assert "line" in proc.stderr  # parse diagnostic with position info
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coeffs", ["1e100000"]),
+    ("coeffs", ["1/1e400"]),
+    ("coeffs", [str(2 ** 1000)]),
+    ("point_mass", "1e-1001"),
+    ("lines", [[["1", "0"], ["1", "3e400"]]]),
+], ids=["weight-exponent", "weight-exponent-denominator", "weight-digits",
+        "point-mass", "line-coefficient"])
+def test_oversized_rationals_exit_2(tmp_path, field, value):
+    # a huge rational used to end in a ValueError traceback from str(int)
+    record = {"lines": [[["1", "0"], ["0", "0"]]], "coeffs": ["1"],
+              "point_mass": "0", field: value}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    proc = run_cli(["lct", "--file", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_rationals_at_the_size_cap_load(tmp_path, capsys):
+    # 1000-bit numerators and denominators load and print
+    big = str(2 ** 1000 - 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "lines": [[["1", "0"], ["0", "0"]],
+                  [[big, f"-1/{big}"], [f"{big}/7", big]]],
+        "coeffs": [f"1/{big}", "2/3"],
+    }), encoding="utf-8")
+    assert main(["lct", "--file", str(path), "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["lct"] == "3/2"
+
+
 def test_arrangement_file_round_trip(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({
@@ -185,6 +225,18 @@ def test_bergman_large_m(m, capsys):
                          == gram["stderr"][j][k] == 0.0 for j, k in cross)
 
 
+def test_bergman_reports_quadrature_nodes(capsys):
+    # the deterministic rule reports its node count: one per Gram of a
+    # scan, one for the ray slopes; theorem1 has the same nodes at any m
+    base = ["bergman", "--preset", "theorem1", "--samples", "10000",
+            "--max-degree", "8", "--no-timestamp"]
+    assert main(base + ["--m1", "3", "--m2", "4"]) == 0
+    scan = json.loads(capsys.readouterr().out)
+    assert scan["quadrature_nodes"] == [9216, 9216]
+    assert main(base + ["--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["quadrature_nodes"] == 9216
+
+
 def test_bergman_csv_table(capsys):
     rc = main(["bergman", "--preset", "smooth", "--m1", "2", "--m2", "3",
                "--samples", "10000", "--seed", "3", "--max-degree", "6",
@@ -201,8 +253,10 @@ def test_usage_requires_m_flags():
 
 
 @pytest.mark.parametrize("flags", [
-    # y = 0 is a line of theorem1: phi_hat is -inf all along it
-    ["--m1", "3", "--m2", "4", "--curve", "dir:1,0,0,0"],
+    # y = 0 is a line of theorem1: phi_hat is -inf all along it; the NaN
+    # slope must come back without a numpy warning
+    pytest.param(["--m1", "3", "--m2", "4", "--curve", "dir:1,0,0,0"],
+                 marks=pytest.mark.filterwarnings("error")),
     # radius**power underflows to 0: every block has rank 0
     ["--m", "3", "--radius", "1e-200"],
     # radius**power overflows the float range
@@ -211,8 +265,10 @@ def test_usage_requires_m_flags():
     ["--m1", "3", "--m2", "4", "--points", "0"],
     ["--m1", "3", "--m2", "4", "--points", "1"],
     ["--m", "3", "--rays", "0"],
+    # cofactor degrees beyond the angular exactness of the rule
+    ["--m", "1", "--max-degree", "48"],
 ], ids=["curve-in-line", "radius-underflow", "radius-overflow",
-        "radius-inf", "points-0", "points-1", "rays-0"])
+        "radius-inf", "points-0", "points-1", "rays-0", "cutoff-48"])
 def test_bergman_degenerate_input_exits_2(flags, capsys):
     rc = main(["bergman", "--preset", "theorem1", "--samples", "10000",
                *flags])
