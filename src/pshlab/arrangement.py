@@ -13,6 +13,7 @@ equality of lines is equality of coefficients.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .gaussian import GaussianRational, ONE, to_fraction
-from .polynomials import BivariatePolynomial
+from .polynomials import HomogeneousForm
 
 
 class ArrangementError(ValueError):
@@ -59,8 +60,10 @@ class Line:
         scale = cx.inverse() if not cx.is_zero else cy.inverse()
         return cls(cx * scale, cy * scale)
 
-    def form(self) -> BivariatePolynomial:
-        return BivariatePolynomial({(1, 0): self.cx, (0, 1): self.cy})
+    @functools.cached_property
+    def integer_form(self) -> HomogeneousForm:
+        """The form cx*x + cy*y with Gaussian-integer numerators."""
+        return HomogeneousForm.of(1, {0: self.cx, 1: self.cy})
 
     def evaluate(self, x, y):
         """Numeric value of the form at complex scalars or arrays."""

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .arrangement import Line, WeightedArrangement
-from .multiplier_ideal import ideal_of, min_admissible_degree
+from .multiplier_ideal import expand, ideal_of, min_admissible_degree
 from .polynomials import BivariatePolynomial
 
 MIN_SPHERE_SAMPLES = 10_000
@@ -113,10 +113,7 @@ def admissible_basis(arr: WeightedArrangement, m: int, max_degree: int
     """Degree-sorted basis of the admissible (square-integrable) monomial
     span up to the total-degree cutoff, as expanded polynomials."""
     b, _base, monos = _basis_layout(arr, m, max_degree)
-    common = BivariatePolynomial.one()
-    for line, power in zip(arr.lines, b):
-        common = common * (line.form() ** power)
-    return [common * BivariatePolynomial.monomial(u, v) for u, v in monos]
+    return expand(arr, b, monos)
 
 
 def radial_factor(d_total: int, s, radius: float = 1.0) -> float:

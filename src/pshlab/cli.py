@@ -23,9 +23,9 @@ from .arrangement import (
     load_arrangement,
     preset,
 )
-from .multiplier_ideal import generator_strings, generators
+from .multiplier_ideal import ExpansionTooLargeError, generator_strings, generators
 from .sequence import (
-    check_subsequence,
+    SequenceEntry,
     entry,
     monotonicity_report,
     resolve_claims,
@@ -200,16 +200,7 @@ def _cmd_analyze(args) -> int:
         }
 
     def to_csv() -> list[list]:
-        rows = [["m", "b", "p", "gamma", "delta", "nu"]]
-        rows += [[
-            ent.m,
-            ";".join(str(v) for v in ent.ideal.b),
-            ent.ideal.p,
-            ";".join(str(g) for g in ent.cls.gamma),
-            str(ent.cls.delta),
-            str(lelong(ent.cls)),
-        ] for ent in entries]
-        return rows
+        return [SequenceEntry.CSV_HEADER] + [ent.csv_row() for ent in entries]
 
     def to_markdown() -> str:
         lines = ["| m | ideal (b; p) | generators | gamma | delta | nu |",
@@ -223,7 +214,10 @@ def _cmd_analyze(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(args, to_json, to_csv, to_markdown)
+    try:
+        _emit(args, to_json, to_csv, to_markdown)
+    except ExpansionTooLargeError as exc:
+        raise UsageError(str(exc)) from exc
     return 0
 
 

@@ -1,20 +1,27 @@
-"""Sparse bivariate polynomials over Q(i).
+"""Exact bivariate polynomials over Q(i).
 
 The only nontrivial algebra the package needs is exact arithmetic, exact
 division by a linear form through the origin, and the multiplicity at the
-origin (lowest total degree).  Everything is kept as a dictionary mapping
-exponent pairs to Gaussian-rational coefficients; zero coefficients are
-never stored.
+origin (lowest total degree).  `BivariatePolynomial` is the user-facing
+sparse type: a dictionary mapping exponent pairs to Gaussian-rational
+coefficients, zero coefficients never stored.  `HomogeneousForm` is the
+kernel behind generators and membership: one homogeneous form as a dense
+vector of Gaussian-integer numerators over one integer denominator, so
+that products of line powers and divisions by lines run on plain Python
+integers.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .gaussian import GaussianRational, ONE
 
 Term = tuple[int, int]
+Gaussian = tuple[int, int]  # a Gaussian integer re + im*i
 
 
 class ZeroPolynomialError(ValueError):
@@ -64,9 +71,6 @@ class BivariatePolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, a: int, b: int) -> GaussianRational:
-        return self._terms.get((a, b), GaussianRational())
 
     def terms(self) -> Iterator[tuple[Term, GaussianRational]]:
         """Terms in graded order (total degree, then descending x power)."""
@@ -131,53 +135,12 @@ class BivariatePolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    # -- division by a linear form ------------------------------------
-
-    def divide_by_linear(self, cx: GaussianRational, cy: GaussianRational
-                         ) -> "BivariatePolynomial | None":
-        """Exact quotient by cx*x + cy*y, or None if it does not divide.
-
-        Requires the form to be normalized: cx = 1, or cx = 0 and cy = 1.
-        """
-        if self.is_zero:
-            return self
-        if cx.is_zero:
-            if not cy == ONE:
-                raise ValueError("linear form must be normalized")
-            if any(b == 0 for (_, b) in self._terms):
-                return None
-            return BivariatePolynomial({(a, b - 1): c for (a, b), c in self._terms.items()})
-        if not cx == ONE:
-            raise ValueError("linear form must be normalized")
-
-        # Synthetic division in x: write self = sum_a x^a A_a(y) and match
-        # coefficients of x + cy*y times the quotient from the top degree down.
-        by_xdeg: dict[int, dict[int, GaussianRational]] = {}
-        for (a, b), c in self._terms.items():
-            by_xdeg.setdefault(a, {})[b] = c
-        deg_x = max(by_xdeg)
-        quotient: dict[int, dict[int, GaussianRational]] = {}
-        carry: dict[int, GaussianRational] = {}  # cy*y*Q_a, as poly in y
-        for a in range(deg_x, -1, -1):
-            row = dict(by_xdeg.get(a, {}))
-            for b, c in carry.items():
-                acc = row.get(b)
-                val = -c if acc is None else acc - c
-                if val.is_zero:
-                    row.pop(b, None)
-                else:
-                    row[b] = val
-            if a == 0:
-                if row:
-                    return None  # nonzero remainder
-                break
-            quotient[a - 1] = row
-            carry = {b + 1: cy * c for b, c in row.items() if not (cy * c).is_zero}
-        out: dict[Term, GaussianRational] = {}
-        for a, row in quotient.items():
-            for b, c in row.items():
-                out[(a, b)] = c
-        return BivariatePolynomial(out)
+    def homogeneous_components(self) -> list["HomogeneousForm"]:
+        """The nonzero homogeneous components, by ascending degree."""
+        by_degree: dict[int, dict[int, GaussianRational]] = {}
+        for (a, b), coeff in self._terms.items():
+            by_degree.setdefault(a + b, {})[b] = coeff
+        return [HomogeneousForm.of(d, row) for d, row in sorted(by_degree.items())]
 
     # -- numeric evaluation -------------------------------------------
 
@@ -220,3 +183,190 @@ class BivariatePolynomial:
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self})"
+
+
+# -- homogeneous forms over Gaussian integers --------------------------------
+
+
+def _gauss_div(a: Gaussian, b: Gaussian) -> Gaussian | None:
+    """a / b in Z[i], or None if b does not divide a."""
+    (ar, ai), (br, bi) = a, b
+    if bi == 0:
+        if ar % br or ai % br:
+            return None
+        return ar // br, ai // br
+    n = br * br + bi * bi
+    re, im = ar * br + ai * bi, ai * br - ar * bi
+    if re % n or im % n:
+        return None
+    return re // n, im // n
+
+
+def _gauss_gcd(a: Gaussian, b: Gaussian) -> Gaussian:
+    """A greatest common divisor in Z[i] (Euclid with rounded quotients)."""
+    while b != (0, 0):
+        (ar, ai), (br, bi) = a, b
+        n = br * br + bi * bi
+        qr = (2 * (ar * br + ai * bi) + n) // (2 * n)
+        qi = (2 * (ai * br - ar * bi) + n) // (2 * n)
+        a, b = b, (ar - qr * br + qi * bi, ai - qr * bi - qi * br)
+    return a
+
+
+def _divide_primitive(coeffs: list[Gaussian], alpha: Gaussian,
+                      beta: Gaussian) -> list[Gaussian] | None:
+    """Exact quotient of a form by alpha*x + beta*y with alpha, beta != 0
+    and gcd(alpha, beta) = 1, or None if it does not divide.
+
+    Synthetic division from the x^d end.  By Gauss's lemma over Z[i] a
+    quotient by a primitive form has Gaussian-integer coefficients, so an
+    inexact step already proves non-divisibility.
+    """
+    br, bi = beta
+    out: list[Gaussian] = []
+    prev_r = prev_i = 0
+    for re, im in coeffs[:-1]:
+        q = _gauss_div((re - br * prev_r + bi * prev_i,
+                        im - br * prev_i - bi * prev_r), alpha)
+        if q is None:
+            return None
+        out.append(q)
+        prev_r, prev_i = q
+    if coeffs[-1] != (br * prev_r - bi * prev_i, br * prev_i + bi * prev_r):
+        return None
+    return out
+
+
+@dataclass(frozen=True)
+class HomogeneousForm:
+    """sum_j coeffs[j] * x^(degree-j) * y^j / den, a homogeneous form over
+    Q(i) with Gaussian-integer numerators (re, im) and an integer den > 0.
+
+    Build forms with `of` and the operations below, which
+    keep gcd(numerators, den) = 1; in that form equal forms compare equal.
+    """
+
+    degree: int
+    coeffs: tuple[Gaussian, ...]
+    den: int = 1
+
+    @classmethod
+    def _reduced(cls, degree: int, coeffs: Iterable[Gaussian], den: int
+                 ) -> "HomogeneousForm":
+        coeffs = tuple(coeffs)
+        g = math.gcd(den, *(v for c in coeffs for v in c))
+        if g > 1:
+            den //= g
+            coeffs = tuple((re // g, im // g) for re, im in coeffs)
+        return cls(degree, coeffs, den)
+
+    @classmethod
+    def of(cls, degree: int, terms: Mapping[int, object]) -> "HomogeneousForm":
+        """The form sum_j terms[j] x^(degree-j) y^j, from Gaussian rationals
+        (or anything `GaussianRational.of` accepts); absent j are zero."""
+        values = {j: GaussianRational.of(c) for j, c in terms.items()}
+        # the least common denominator leaves gcd(numerators, den) = 1
+        den = math.lcm(1, *(q.denominator for c in values.values()
+                            for q in (c.re, c.im)))
+        coeffs = [(0, 0)] * (degree + 1)
+        for j, c in values.items():
+            coeffs[j] = (c.re.numerator * (den // c.re.denominator),
+                         c.im.numerator * (den // c.im.denominator))
+        return cls(degree, tuple(coeffs), den)
+
+    def power(self, n: int) -> "HomogeneousForm":
+        """self^n for a linear form, expanded by the binomial theorem."""
+        if self.degree != 1:
+            raise ValueError("power expands linear forms only")
+        (ar, ai), (br, bi) = self.coeffs
+        coeffs = []
+        binom = 1
+        pr, pi = 1, 0  # beta^j
+        for j in range(n + 1):
+            coeffs.append((binom * pr, binom * pi))
+            binom = binom * (n - j) // (j + 1)
+            pr, pi = pr * br - pi * bi, pr * bi + pi * br
+        if (ar, ai) != (1, 0):  # times alpha^(n-j), from the y^n end down
+            sr, si = 1, 0
+            for j in range(n, -1, -1):
+                cr, ci = coeffs[j]
+                coeffs[j] = (cr * sr - ci * si, cr * si + ci * sr)
+                sr, si = sr * ar - si * ai, sr * ai + si * ar
+        return HomogeneousForm._reduced(n, coeffs, self.den ** n)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(re or im for re, im in self.coeffs)
+
+    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
+        p, q = self.coeffs, other.coeffs
+        if sum(map(any, p)) > sum(map(any, q)):
+            p, q = q, p
+        out_r = [0] * (len(p) + len(q) - 1)
+        out_i = [0] * len(out_r)
+        for i, (a, b) in enumerate(p):
+            if not (a or b):
+                continue
+            for j, (c, d) in enumerate(q, i):
+                out_r[j] += a * c - b * d
+                out_i[j] += a * d + b * c
+        return HomogeneousForm._reduced(
+            self.degree + other.degree, zip(out_r, out_i),
+            self.den * other.den)
+
+    def times_monomial(self, u: int, v: int) -> "HomogeneousForm":
+        """x^u * y^v times the form."""
+        zero = ((0, 0),)
+        return HomogeneousForm(self.degree + u + v,
+                               zero * v + self.coeffs + zero * u, self.den)
+
+    def quotient(self, line: "HomogeneousForm", times: int = 1
+                 ) -> "HomogeneousForm | None":
+        """Exact quotient by line^times for a linear form `line`, or None
+        if line^times does not divide this nonzero form."""
+        if line.degree != 1 or line.is_zero:
+            raise ValueError("divisor must be a nonzero linear form")
+        nonzero = [j for j, c in enumerate(self.coeffs) if c != (0, 0)]
+        if times > self.degree or not nonzero:
+            return None
+        lo, hi, d = nonzero[0], nonzero[-1], self.degree
+        # Divide by the primitive part alpha*x + beta*y = line*den/g: a
+        # line like x + (1+i)/2*y is (2x + (1+i)y)/2, whose content is 1+i.
+        alpha, beta = line.coeffs
+        g = _gauss_gcd(alpha, beta)
+        alpha, beta = _gauss_div(alpha, g), _gauss_div(beta, g)
+        if alpha == (0, 0):  # y^times: the x^d.. end must vanish
+            if lo < times:
+                return None
+            coeffs = list(self.coeffs[times:])
+        elif beta == (0, 0):  # x^times: the ..y^d end must vanish
+            if d - hi < times:
+                return None
+            coeffs = list(self.coeffs[:d + 1 - times])
+        else:
+            # x^(d-hi) * y^lo * core, and the line divides only the core
+            core = list(self.coeffs[lo:hi + 1])
+            if hi - lo < times:
+                return None
+            for _ in range(times):
+                core = _divide_primitive(core, alpha, beta)
+                if core is None:
+                    return None
+            coeffs = [(0, 0)] * lo + core + [(0, 0)] * (d - hi)
+        # self / line^t = (self / primitive^t) * (den_line * conj(g) / |g|^2)^t
+        gr, gi = g
+        sr, si = line.den ** times, 0
+        for _ in range(times if g != (1, 0) else 0):
+            sr, si = sr * gr + si * gi, si * gr - sr * gi
+        if (sr, si) != (1, 0):
+            coeffs = [(re * sr - im * si, re * si + im * sr)
+                      for re, im in coeffs]
+        return HomogeneousForm._reduced(
+            d - times, coeffs, self.den * (gr * gr + gi * gi) ** times)
+
+    def to_polynomial(self) -> BivariatePolynomial:
+        d, den = self.degree, self.den
+        return BivariatePolynomial({
+            (d - j, j): GaussianRational(Fraction(re, den), Fraction(im, den))
+            for j, (re, im) in enumerate(self.coeffs) if re or im
+        })

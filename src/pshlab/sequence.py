@@ -14,7 +14,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import WeightedArrangement, preset
-from .multiplier_ideal import IdealDescriptor, generator_strings, generators, ideal_of
+from .multiplier_ideal import (
+    IdealDescriptor,
+    generator_strings,
+    generators,
+    ideal_of,
+    ideal_sequence,
+)
 from .polynomials import BivariatePolynomial
 from .singularity import (
     ComparisonResult,
@@ -35,6 +41,13 @@ class SequenceEntry:
     ideal: IdealDescriptor
     cls: SingularityClass
 
+    CSV_HEADER = ("m", "b", "p", "gamma", "delta", "nu")
+
+    def csv_row(self) -> list[str]:
+        return [str(self.m), ";".join(str(v) for v in self.ideal.b),
+                str(self.ideal.p), ";".join(str(g) for g in self.cls.gamma),
+                str(self.cls.delta), str(lelong(self.cls))]
+
     def to_dict(self) -> dict:
         return {
             "m": self.m,
@@ -52,9 +65,13 @@ def entry(arr: WeightedArrangement, m: int) -> SequenceEntry:
 
 
 def build_sequence(arr: WeightedArrangement, m_max: int) -> list[SequenceEntry]:
+    """entry(arr, m) for m = 1..m_max, built in one integer pass."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    return [entry(arr, m) for m in range(1, m_max + 1)]
+    return [
+        SequenceEntry(m=m, ideal=ideal, cls=class_of_ideal(arr, ideal, m))
+        for m, ideal in enumerate(ideal_sequence(arr, m_max), 1)
+    ]
 
 
 def adjacent_violations(arr: WeightedArrangement, m_max: int
@@ -90,15 +107,6 @@ class PatternCheck:
             "forward_fails": self.forward_fails,
             "reverse_holds": self.reverse_holds,
         }
-
-
-def is_theorem1_family(arr: WeightedArrangement) -> bool:
-    """Three lines of weight 2/3 each, no point mass."""
-    return (
-        len(arr.lines) == 3
-        and all(a == Fraction(2, 3) for a in arr.coeffs)
-        and arr.point_mass == 0
-    )
 
 
 def pattern_violations(arr: WeightedArrangement, k_max: int) -> list[PatternCheck]:
@@ -241,22 +249,10 @@ class MonotonicityReport:
         return "\n".join(lines)
 
     def to_csv_rows(self) -> list[list[str]]:
-        rows = [["m", "b", "p", "gamma", "delta", "nu", "vs_previous"]]
-        for i, ent in enumerate(self.entries):
-            if i == 0:
-                verdict = ""
-            else:
-                verdict = self.comparisons[i - 1].relation.value
-            rows.append([
-                str(ent.m),
-                ";".join(str(v) for v in ent.ideal.b),
-                str(ent.ideal.p),
-                ";".join(str(g) for g in ent.cls.gamma),
-                str(ent.cls.delta),
-                str(lelong(ent.cls)),
-                verdict,
-            ])
-        return rows
+        verdicts = [""] + [c.relation.value for c in self.comparisons]
+        return [[*SequenceEntry.CSV_HEADER, "vs_previous"]] + [
+            ent.csv_row() + [verdict]
+            for ent, verdict in zip(self.entries, verdicts)]
 
 
 def monotonicity_report(arr: WeightedArrangement, m_max: int,

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Line, WeightedArrangement
-from .gaussian import to_fraction
+from .gaussian import integer_ratio, to_fraction
 from .multiplier_ideal import IdealDescriptor
 
 
@@ -68,17 +68,48 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SingularityClass:
-    """Exponent data (gamma; delta) of a representative weight."""
+    """Exponent data (gamma; delta) of a representative weight.
+
+    Stored as integer numerators `num` (the gamma_i, then delta) over one
+    positive denominator `den`, with gcd(num, den) = 1: that form is
+    unique, so equality and hashing are those of the exponents.  `gamma`,
+    `delta` and `total` are Fractions built on access.
+    """
 
     key: tuple[Line, ...]
-    gamma: tuple[Fraction, ...]
-    delta: Fraction
+    num: tuple[int, ...]
+    den: int
 
-    @functools.cached_property
+    def __init__(self, key: tuple[Line, ...], gamma, delta):
+        exps = [to_fraction(q) for q in (*gamma, delta)]
+        den = math.lcm(*(q.denominator for q in exps))  # already reduced
+        self.__dict__.update(key=key, den=den, num=tuple(
+            q.numerator * (den // q.denominator) for q in exps))
+
+    @classmethod
+    def scaled(cls, key: tuple[Line, ...], num: tuple[int, ...], den: int
+               ) -> "SingularityClass":
+        """The class with exponents num[i]/den (delta last), den > 0."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = tuple(n // g for n in num), den // g
+        self = object.__new__(cls)
+        self.__dict__.update(key=key, num=num, den=den)
+        return self
+
+    @property
+    def gamma(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num[:-1])
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.num[-1], self.den)
+
+    @property
     def total(self) -> Fraction:
-        return sum(self.gamma, Fraction(0)) + self.delta
+        return Fraction(sum(self.num), self.den)
 
     def to_dict(self) -> dict:
         return {"gamma": [str(g) for g in self.gamma], "delta": str(self.delta)}
@@ -108,15 +139,11 @@ def class_of_ideal(arr: WeightedArrangement, ideal: IdealDescriptor, m
     The common line factors contribute b_i/m per line; the residual power
     of the maximal ideal contributes a radial exponent p/m.
     """
-    m = to_fraction(m)
-    if m <= 0:
+    num, den = integer_ratio(m)
+    if num <= 0:
         raise ValueError("approximation index m must be positive")
-    num, den = m.numerator, m.denominator
-    return SingularityClass(
-        key=arr.key,
-        gamma=tuple(Fraction(v * den, num) for v in ideal.b),
-        delta=Fraction(ideal.p * den, num),
-    )
+    return SingularityClass.scaled(
+        arr.key, tuple([v * den for v in (*ideal.b, ideal.p)]), num)
 
 
 def _require_same_key(s1: SingularityClass, s2: SingularityClass) -> None:
@@ -126,15 +153,32 @@ def _require_same_key(s1: SingularityClass, s2: SingularityClass) -> None:
         )
 
 
+def _violation(s1: SingularityClass, s2: SingularityClass,
+               lhs: list[int], rhs: list[int]) -> Witness | None:
+    """Why psi1 <= psi2 + O(1) fails, given the exponents of s1 and s2
+    scaled to one common denominator (delta last)."""
+    for i in range(len(lhs) - 1):
+        if lhs[i] < rhs[i]:
+            return Witness(kind="gamma", index=i,
+                           first=Fraction(s1.num[i], s1.den),
+                           second=Fraction(s2.num[i], s2.den))
+    if sum(lhs) < sum(rhs):
+        return Witness(kind="total", index=None, first=s1.total,
+                       second=s2.total)
+    return None
+
+
+def _cross_scaled(s1: SingularityClass, s2: SingularityClass
+                  ) -> tuple[list[int], list[int]]:
+    """Both numerator vectors over the common denominator s1.den * s2.den."""
+    _require_same_key(s1, s2)
+    d1, d2 = s1.den, s2.den
+    return [n * d2 for n in s1.num], [n * d1 for n in s2.num]
+
+
 def directed_violation(s1: SingularityClass, s2: SingularityClass) -> Witness | None:
     """Why psi1 <= psi2 + O(1) fails, or None if it holds."""
-    _require_same_key(s1, s2)
-    for i, (g1, g2) in enumerate(zip(s1.gamma, s2.gamma)):
-        if g1 < g2:
-            return Witness(kind="gamma", index=i, first=g1, second=g2)
-    if s1.total < s2.total:
-        return Witness(kind="total", index=None, first=s1.total, second=s2.total)
-    return None
+    return _violation(s1, s2, *_cross_scaled(s1, s2))
 
 
 def more_singular_or_equal(s1: SingularityClass, s2: SingularityClass) -> bool:
@@ -144,10 +188,11 @@ def more_singular_or_equal(s1: SingularityClass, s2: SingularityClass) -> bool:
 
 def compare(s1: SingularityClass, s2: SingularityClass) -> ComparisonResult:
     """Full comparison of s1 relative to s2, with witnesses on failure."""
-    forward = directed_violation(s1, s2)
-    reverse = directed_violation(s2, s1)
-    if forward is None and reverse is None:
+    lhs, rhs = _cross_scaled(s1, s2)
+    if lhs == rhs:  # otherwise some coordinate or the total differs
         return ComparisonResult(Relation.EQUIVALENT)
+    forward = _violation(s1, s2, lhs, rhs)
+    reverse = _violation(s2, s1, rhs, lhs)
     if forward is None:
         return ComparisonResult(Relation.FIRST_MORE_SINGULAR, (reverse,))
     if reverse is None:
@@ -158,15 +203,6 @@ def compare(s1: SingularityClass, s2: SingularityClass) -> ComparisonResult:
 def lelong(s: SingularityClass) -> Fraction:
     """Lelong number at the origin: the generic slope sum(gamma) + delta."""
     return s.total
-
-
-def class_from_dict(arr: WeightedArrangement, data: dict) -> SingularityClass:
-    gamma = tuple(Fraction(g) for g in data["gamma"])
-    if len(gamma) != len(arr.lines):
-        raise ArrangementMismatchError(
-            f"{len(gamma)} exponents for {len(arr.lines)} lines"
-        )
-    return SingularityClass(key=arr.key, gamma=gamma, delta=Fraction(data["delta"]))
 
 
 # -- numerical boundedness probe -----------------------------------------

@@ -165,6 +165,24 @@ def test_rationals_at_the_size_cap_load(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["lct"] == "3/2"
 
 
+def test_analyze_refuses_huge_generator_expansion(tmp_path):
+    # A weight of 10^300 - 1 asks for ell^b with b ~ 10^300: analyze used to
+    # expand it until killed.  The subprocess timeout makes a hang a failure.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "lines": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        "coeffs": ["9" * 300, "1/2"],
+    }), encoding="utf-8")
+    proc = run_cli(["analyze", "--file", str(path), "--m", "1"], timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "MAX_EXPANDED_DEGREE" in proc.stderr
+    for args in (["lct"], ["sequence", "--m-max", "3"],
+                 ["analyze", "--m", "1", "--format", "csv"]):
+        done = run_cli(args + ["--file", str(path)], timeout=60)
+        assert done.returncode == 0 and done.stdout, args
+
+
 def test_arrangement_file_round_trip(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({

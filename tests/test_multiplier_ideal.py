@@ -134,3 +134,63 @@ def test_membership_equals_brute_force_over_monomials():
                 direct = all(o >= b for o, b in zip(orders, ideal.b)) \
                     and alpha + beta >= ideal.e
                 assert contains(THEOREM1, ideal, f) == direct
+
+
+toric_weight = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(toric_weight, toric_weight, toric_weight,
+       st.fractions(min_value=0, max_value=6, max_denominator=8),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=4, max_size=4))
+def test_contains_matches_howald_toric_oracle(a1, a2, d, c, monomials,
+                                              scalars):
+    # Howald: for the toric weight a1 log|x| + a2 log|y| + d log|z|,
+    # x^u y^v lies in J(c*phi) iff (u+1, v+1) lies strictly above c times
+    # each facet: u+1 > c*a1, v+1 > c*a2 and u+v+2 > c*(a1+a2+d).  The
+    # ideal is monomial, so a sum of monomials is a member iff each is.
+    arr = new_arrangement([(1, 0), (0, 1)], [a1, a2], d)
+    ideal = ideal_of(arr, c)
+    oracle = [u + 1 > c * a1 and v + 1 > c * a2 and u + v + 2 > c * (a1 + a2 + d)
+              for u, v in monomials]
+    for (u, v), want in zip(monomials, oracle):
+        assert contains(arr, ideal, P.monomial(u, v)) == want
+    f = P({mono: (re or 1, im) for mono, (re, im) in zip(monomials, scalars)})
+    assert contains(arr, ideal, f) == all(oracle)
+
+
+NONPRIMITIVE = (1, ("1/2", "1/2"))  # x + (1+i)/2*y; integer form content 1+i
+OTHER_LINES = [(1, 0), (0, 1), (1, 1), (1, ("0", "-2")), (3, ("1", "-1/3"))]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(OTHER_LINES), max_size=2, unique=True),
+       st.lists(st.fractions(min_value="1/6", max_value="3/2",
+                             max_denominator=6), min_size=3, max_size=3),
+       st.fractions(min_value=0, max_value=1, max_denominator=4),
+       st.integers(1, 4), st.integers(1, 4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                       st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       min_size=1, max_size=3))
+def test_subadditivity_and_nonprimitive_lines(others, weights, mass, m1, m2,
+                                              cofactor):
+    # Demailly-Ein-Lazarsfeld: J((m1+m2) phi) lies in J(m1 phi) J(m2 phi),
+    # whose product descriptor is (b1 + b2, p1 + p2).
+    lines = [NONPRIMITIVE] + others
+    arr = new_arrangement(lines, weights[:len(lines)], mass)
+    big, lo, hi = ideal_of(arr, m1 + m2), ideal_of(arr, m1), ideal_of(arr, m2)
+    b = tuple(u + v for u, v in zip(lo.b, hi.b))
+    product = IdealDescriptor(b=b, e=sum(b) + lo.p + hi.p, p=lo.p + hi.p)
+    r = P({k: v for k, v in cofactor.items() if v != (0, 0)}) + P.one()
+    for g in generators(arr, big):
+        assert contains(arr, product, g)
+        assert contains(arr, big, g * r)
+        if big.b[0]:
+            # remove one factor of the non-primitive line, keep the degree
+            (h,) = g.homogeneous_components()
+            q = h.quotient(arr.lines[0].integer_form)
+            assert q is not None
+            assert not contains(arr, big, X * q.to_polynomial())

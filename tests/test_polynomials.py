@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pshlab.gaussian import GaussianRational
 from pshlab.polynomials import BivariatePolynomial as P
+from pshlab.polynomials import HomogeneousForm
 from pshlab.polynomials import ZeroPolynomialError
 
 X, Y = P.x(), P.y()
@@ -37,19 +38,53 @@ def test_multiplicity_and_degree():
         P.zero().multiplicity()
 
 
+def _form(poly: P) -> HomogeneousForm:
+    (component,) = poly.homogeneous_components()
+    return component
+
+
 def test_divide_by_y():
-    f = X * Y + Y ** 2
-    q = f.divide_by_linear(GaussianRational.of(0), GaussianRational.of(1))
-    assert q == X + Y
-    assert (X * X).divide_by_linear(GaussianRational.of(0), GaussianRational.of(1)) is None
+    y = _form(Y)
+    assert _form(X * Y + Y ** 2).quotient(y).to_polynomial() == X + Y
+    assert _form(X * Y ** 3).quotient(y, 3).to_polynomial() == X
+    assert _form(X * X).quotient(y) is None
+    assert _form(X * Y ** 2).quotient(y, 3) is None
 
 
 def test_divide_by_general_line():
-    one = GaussianRational.of(1)
-    f = (X + Y) ** 3
-    q = f.divide_by_linear(one, one)
-    assert q == (X + Y) ** 2
-    assert (X * Y).divide_by_linear(one, one) is None
+    ell = _form(X + Y)
+    assert _form((X + Y) ** 3).quotient(ell).to_polynomial() == (X + Y) ** 2
+    assert _form((X + Y) ** 3 * Y).quotient(ell, 3).to_polynomial() == Y
+    assert _form(X * Y).quotient(ell) is None
+    assert _form((X + Y) ** 2 * X).quotient(ell, 3) is None
+    assert _form(X ** 2).quotient(_form(X)).to_polynomial() == X
+    assert _form(X * Y).quotient(_form(X + Y * 2)) is None
+
+
+def test_divide_by_line_with_gaussian_content():
+    # x + (1+i)/2*y has integer form 2x + (1+i)y, whose content is 1+i
+    q = GaussianRational.of(("1/2", "1/2"))
+    ell = P({(1, 0): 1, (0, 1): q})
+    for f in (P.one(), X, Y ** 2 * 3, X * Y + Y ** 2, X * Y + Y ** 2 * q):
+        for k in (1, 2, 3):
+            g = f * ell ** k
+            assert _form(g).quotient(_form(ell), k).to_polynomial() == f
+            assert _form(g).quotient(_form(ell * 2), k).to_polynomial() \
+                == f * GaussianRational.of(Fraction(1, 2 ** k))
+        divisible = _form(f * ell).quotient(_form(ell), 2) is not None
+        assert divisible == _vanishes_at(f, q, GaussianRational.of(-1))
+    assert not _vanishes_at(X * Y + Y ** 2, q, GaussianRational.of(-1))
+
+
+def test_form_products_and_powers():
+    ell = _form(X + Y * GaussianRational.of(("1/3", "-2")))
+    assert ell.power(4).to_polynomial() == (X + Y * GaussianRational.of(("1/3", "-2"))) ** 4
+    assert (ell * _form(X * Y)).to_polynomial() == _form(X * Y).to_polynomial() * ell.to_polynomial()
+    assert ell.times_monomial(2, 1).to_polynomial() == ell.to_polynomial() * X ** 2 * Y
+    assert ell.power(0) == _form(P.one())
+    assert HomogeneousForm.of(2, {0: "2/4", 2: 1}) == HomogeneousForm(2, ((1, 0), (0, 0), (2, 0)), 2)
+    with pytest.raises(ValueError):
+        _form(X * Y).power(2)
 
 
 def test_term_list_round_trip():
@@ -74,14 +109,34 @@ small_poly = st.dictionaries(
 ).map(P)
 
 
+def _vanishes_at(f: P, x: GaussianRational, y: GaussianRational) -> bool:
+    total = GaussianRational()
+    for (a, b), c in f.terms():
+        term = c
+        for _ in range(a):
+            term = term * x
+        for _ in range(b):
+            term = term * y
+        total = total + term
+    return total.is_zero
+
+
 @settings(max_examples=150, derandomize=True)
-@given(small_poly, small_gauss)
-def test_division_inverts_multiplication(f, cy):
-    # ell = x + cy*y is always normalized
-    one = GaussianRational.of(1)
-    ell = P({(1, 0): one, (0, 1): cy})
-    q = (f * ell).divide_by_linear(one, cy)
-    assert q == f
+@given(small_poly, small_gauss, small_gauss, st.integers(1, 3))
+def test_division_inverts_multiplication(f, cx, cy, k):
+    if cx.is_zero and cy.is_zero:
+        cx = GaussianRational.of(1)
+    ell = P({(1, 0): cx, (0, 1): cy})
+    line = _form(ell)
+    g = f * ell ** k
+    quotients = [h.quotient(line, k) for h in g.homogeneous_components()]
+    assert sum((q.to_polynomial() for q in quotients), P.zero()) == f
+    # one more factor divides iff the quotient vanishes on the line
+    for h, q in zip(g.homogeneous_components(), quotients):
+        more = h.quotient(line, k + 1)
+        assert (more is not None) == _vanishes_at(q.to_polynomial(), cy, -cx)
+        if more is not None:
+            assert more.to_polynomial() * ell ** (k + 1) == h.to_polynomial()
 
 
 @settings(max_examples=150, derandomize=True)

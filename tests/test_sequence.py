@@ -9,7 +9,6 @@ from pshlab.sequence import (
     build_sequence,
     check_subsequence,
     entry,
-    is_theorem1_family,
     monotonicity_report,
     pattern_violations,
     resolve_claims,
@@ -60,8 +59,6 @@ def test_pattern_violations():
         assert lo.cls.gamma[0] == Fraction(2 * 3 * k // 3, 3 * k)
         assert hi.cls.gamma[0] == Fraction(2 * (3 * k + 2) // 3, 3 * k + 2)
         assert hi.cls.gamma[0] < lo.cls.gamma[0]
-    assert is_theorem1_family(THEOREM1)
-    assert not is_theorem1_family(preset("smooth"))
 
 
 def test_check_subsequence_pow2():

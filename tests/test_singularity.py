@@ -12,7 +12,6 @@ from pshlab.singularity import (
     Relation,
     SingularityClass,
     boundedness_probe,
-    class_from_dict,
     class_of_ideal,
     class_of_weight,
     compare,
@@ -96,9 +95,6 @@ def test_serialization():
     c = _cls(4)
     data = c.to_dict()
     assert data == {"gamma": ["1/2", "1/2", "1/2"], "delta": "1/4"}
-    assert class_from_dict(THEOREM1, data) == c
-    with pytest.raises(ArrangementMismatchError):
-        class_from_dict(preset("smooth"), data)
 
 
 half_steps = st.fractions(min_value=0, max_value=3, max_denominator=4)
@@ -184,3 +180,82 @@ def test_probe_matches_comparator_on_paper_pairs():
     assert boundedness_probe(THEOREM1, _cls(3), _cls(5))
     assert boundedness_probe(THEOREM1, _cls(8), _cls(4))
     assert boundedness_probe(THEOREM1, _cls(3), _cls(3))
+
+
+# -- integer comparison against a plain-Fraction reference ------------------
+
+
+def _ref_violation(g1, d1, g2, d2):
+    for i, (a, b) in enumerate(zip(g1, g2)):
+        if a < b:
+            return ("gamma", i, a, b)
+    t1, t2 = sum(g1, Fraction(0)) + d1, sum(g2, Fraction(0)) + d2
+    return ("total", None, t1, t2) if t1 < t2 else None
+
+
+def _ref_compare(x, y):
+    forward = _ref_violation(x[0], x[1], y[0], y[1])
+    reverse = _ref_violation(y[0], y[1], x[0], x[1])
+    if forward is None and reverse is None:
+        return Relation.EQUIVALENT, ()
+    if forward is None:
+        return Relation.FIRST_MORE_SINGULAR, (reverse,)
+    if reverse is None:
+        return Relation.SECOND_MORE_SINGULAR, (forward,)
+    return Relation.INCOMPARABLE, (forward, reverse)
+
+
+exponent = st.fractions(min_value=-3, max_value=3, max_denominator=30)
+theorem1_weight = st.fractions(min_value=0, max_value=3, max_denominator=9)
+
+
+@st.composite
+def class_with_reference(draw):
+    """A class over theorem1's lines and its exponents as plain Fractions."""
+    source = draw(st.sampled_from(["constructor", "weight", "ideal"]))
+    if source == "constructor":
+        gamma = tuple(draw(st.lists(exponent, min_size=3, max_size=3)))
+        delta = draw(exponent)
+        return SingularityClass(key=THEOREM1.key, gamma=gamma,
+                                delta=delta), (gamma, delta)
+    arr = new_arrangement(THEOREM1.lines,
+                          draw(st.lists(theorem1_weight, min_size=3,
+                                        max_size=3)),
+                          draw(theorem1_weight))
+    if source == "weight":
+        return class_of_weight(arr), (arr.coeffs, arr.point_mass)
+    m = draw(st.integers(1, 60) | st.fractions(min_value="1/7", max_value=40,
+                                               max_denominator=7))
+    ideal = ideal_of(arr, m)
+    m = Fraction(m)
+    return class_of_ideal(arr, ideal, m), (
+        tuple(Fraction(v) / m for v in ideal.b), Fraction(ideal.p) / m)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(class_with_reference(), class_with_reference())
+def test_integer_compare_matches_fraction_reference(x, y):
+    (s1, r1), (s2, r2) = x, y
+    assert s1.gamma == tuple(r1[0]) and s1.delta == r1[1]
+    relation, witnesses = _ref_compare(r1, r2)
+    got = compare(s1, s2)
+    assert got.relation is relation
+    assert [(w.kind, w.index, w.first, w.second) for w in got.witnesses] \
+        == list(witnesses)
+    assert (directed_violation(s1, s2) is None) == \
+        (_ref_violation(*r1, *r2) is None)
+    same = (tuple(r1[0]), r1[1]) == (tuple(r2[0]), r2[1])
+    assert (s1 == s2) == same
+    if same:
+        assert hash(s1) == hash(s2)
+    assert lelong(s1) == sum(r1[0], Fraction(0)) + r1[1]
+
+
+def test_equal_classes_at_different_m_are_equal():
+    c3, c6 = _cls(3), _cls(6)
+    assert (c3.gamma, c3.delta) == ((Fraction(2, 3),) * 3, 0)
+    assert c3 == c6 and hash(c3) == hash(c6) and len({c3, c6}) == 1
+    assert c3 == SingularityClass(key=THEOREM1.key,
+                                  gamma=(Fraction(4, 6),) * 3, delta=0)
+    assert compare(c3, c6).relation is Relation.EQUIVALENT
+    assert c3 != _cls(5)

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Check that the pshlab CLI prints the same bytes as another checkout.
+
+    python3 tools/cli_diff.py PARENT_SRC
+
+PARENT_SRC is the ``src`` directory of the checkout to compare against
+(for example an exported parent commit).  Every command below runs once
+with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
+in a fresh interpreter with ``--no-timestamp``, and their standard output
+and exit codes are compared byte for byte:
+
+- 17 commands in each of the formats json, csv and md (51 pairs): ``lct``,
+  ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
+  list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
+  (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
+  ray slopes with ``--audit-gram``), on presets and on a three-line file
+  arrangement with a Gaussian-rational line.  A format a command does not
+  have must fail the same way on both sides;
+- ``sequence --preset theorem1 --m-max 3000`` in the three formats;
+- ``demos/03_kernel_crosscheck.py``.
+
+Prints one line per case and a diff excerpt for each difference; exits 1
+if any case differs, 0 otherwise.  Takes a minute or two: the ``bergman``
+cases load numpy.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FORMATS = ("json", "csv", "md")
+
+FILE_ARRANGEMENT = {
+    "lines": [[["1", "0"], ["0", "0"]],
+              [["0", "0"], ["1", "0"]],
+              [["1", "0"], ["1/2", "1/2"]]],
+    "coeffs": ["1/2", "2/3", "5/6"],
+    "point_mass": "1/4",
+}
+
+
+def cases(arrangement_file: str) -> list[list[str]]:
+    f = ["--file", arrangement_file]
+    t = ["--preset", "theorem1"]
+    fast = ["--samples", "10000", "--points", "9"]
+    commands = [
+        ["lct", *t],
+        ["lct", "--preset", "point"],
+        ["lct", *f],
+        ["compare", *t, "--m1", "4", "--m2", "3"],
+        ["compare", *f, "--m1", "5", "--m2", "7"],
+        ["sequence", *t, "--m-max", "40"],
+        ["sequence", *t, "--indices", "pow2", "--k-max", "10"],
+        ["sequence", *t, "--indices", "3k+2", "--k-max", "12"],
+        ["sequence", *f, "--m-max", "30", "--indices", "2,4,8,16"],
+        ["verify-paper"],
+        ["verify-paper", "--claims", "prop2", "thm1"],
+        ["analyze", *t, "--m-max", "12"],
+        ["analyze", *f, "--m", "1", "3", "7"],
+        ["bergman", *t, "--m1", "3", "--m2", "4", "--curve", "x=y", *fast],
+        ["bergman", *t, "--m1", "3", "--m2", "5", "--curve",
+         "dir:0.6,0.1,0.3,-0.7", *fast],
+        ["bergman", *t, "--m", "4", "--rays", "4", "--samples", "10000",
+         "--audit-gram"],
+        ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
+    ]
+    out = [[*cmd, "--format", fmt] for cmd in commands for fmt in FORMATS]
+    out += [["sequence", *t, "--m-max", "3000", "--format", fmt]
+            for fmt in FORMATS]
+    return [["-m", "pshlab", *cmd, "--no-timestamp"] for cmd in out] + [
+        [str(ROOT / "demos" / "03_kernel_crosscheck.py")]]
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                          capture_output=True, timeout=600)
+    return done.returncode, done.stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not (Path(argv[0]) / "pshlab").is_dir():
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        print("error: give the src directory of the other checkout",
+              file=sys.stderr)
+        return 2
+    parent_src = Path(argv[0]).resolve()
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arrangement.json"
+        path.write_text(json.dumps(FILE_ARRANGEMENT), encoding="utf-8")
+        all_cases = cases(str(path))
+        for argv_ in all_cases:
+            label = " ".join(argv_[2:] if argv_[0] == "-m" else argv_)
+            label = label.replace(str(path), "FILE").replace(str(ROOT), ".")
+            before, after = run(parent_src, argv_), run(ROOT / "src", argv_)
+            if before == after:
+                print(f"same  exit {after[0]}  {len(after[1]):>8} B  {label}")
+                continue
+            differences += 1
+            print(f"DIFF  exit {before[0]} -> {after[0]}  {label}")
+            diff = difflib.unified_diff(
+                before[1].decode(errors="replace").splitlines(),
+                after[1].decode(errors="replace").splitlines(),
+                "parent", "this checkout", lineterm="", n=1)
+            for line in list(diff)[:20]:
+                print(f"      {line}")
+    print(f"{differences} of {len(all_cases)} cases differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
