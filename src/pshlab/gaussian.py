@@ -22,15 +22,6 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def integer_ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator of what `to_fraction` accepts,
-    without building a Fraction for ints and Fractions."""
-    if isinstance(value, (int, Fraction)):
-        return value.numerator, value.denominator
-    q = to_fraction(value)
-    return q.numerator, q.denominator
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """An element of Q(i), stored as exact real and imaginary parts."""

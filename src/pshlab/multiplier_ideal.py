@@ -14,20 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import WeightedArrangement
-from .gaussian import integer_ratio, to_fraction
+from .gaussian import to_fraction
 from .polynomials import BivariatePolynomial, HomogeneousForm, ZeroPolynomialError
 
-# Largest total degree `expand` builds.  A line power is a dense vector of
-# degree + 1 coefficients whose sizes grow with the degree, and p + 1
-# generators of degree d hold up to (p + 1) * (d + 1) terms, so a weight
-# like 10^300 in an arrangement file must be refused, not expanded.  1000
-# covers theorem1 up to m = 500.
-MAX_EXPANDED_DEGREE = 1000
+# Largest degree sum(b) + p of the generators `generators` expands.  The
+# p + 1 generators of degree d hold up to (p + 1) * (d + 1) terms whose
+# sizes grow with d, so a weight like 10^300 in an arrangement file must be
+# refused, not expanded.  1000 covers theorem1 up to m = 500.
+MAX_GENERATOR_DEGREE = 1000
 
 
 class ExpansionTooLargeError(ValueError):
-    """An expansion of prod ell_i^{b_i} times a monomial beyond
-    MAX_EXPANDED_DEGREE was requested."""
+    """Generators of degree above MAX_GENERATOR_DEGREE were requested."""
 
 
 @dataclass(frozen=True)
@@ -46,35 +44,18 @@ class IdealDescriptor:
         return {"b": list(self.b), "e": self.e, "p": self.p}
 
 
-def _floor_ideal(ratios: list[tuple[int, int]], total: tuple[int, int],
-                 n: int, d: int) -> IdealDescriptor:
-    """J(c*phi) at c = n/d from the weights' integer ratios: floor(c*a) as
-    one integer division n*a_num // (d*a_den), with d*a_den > 0."""
-    b = tuple([n * an // (d * ad) for an, ad in ratios])
-    e = n * total[0] // (d * total[1]) - 1
-    return IdealDescriptor(b=b, e=e, p=max(0, e - sum(b)))
-
-
-def _ratios(arr: WeightedArrangement
-            ) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    total = arr.total_mass
-    return ([(a.numerator, a.denominator) for a in arr.coeffs],
-            (total.numerator, total.denominator))
-
-
 def ideal_of(arr: WeightedArrangement, c) -> IdealDescriptor:
     """Compute J(c*phi) for a nonnegative rational c."""
-    n, d = integer_ratio(c)
-    if n < 0:
+    c = to_fraction(c)
+    if c < 0:
         raise ValueError("multiplier ideal parameter must be nonnegative")
-    return _floor_ideal(*_ratios(arr), n, d)
-
-
-def ideal_sequence(arr: WeightedArrangement, m_max: int
-                   ) -> list[IdealDescriptor]:
-    """J(m*phi) for m = 1..m_max, the same as ideal_of at each m."""
-    ratios, total = _ratios(arr)
-    return [_floor_ideal(ratios, total, m, 1) for m in range(1, m_max + 1)]
+    # floor(c*a) as one integer division: n*a_num // (d*a_den), d*a_den > 0
+    n, d = c.numerator, c.denominator
+    b = tuple(n * a.numerator // (d * a.denominator) for a in arr.coeffs)
+    total = arr.total_mass
+    e = n * total.numerator // (d * total.denominator) - 1
+    p = max(0, e - sum(b))
+    return IdealDescriptor(b=b, e=e, p=p)
 
 
 def is_trivial(ideal: IdealDescriptor) -> bool:
@@ -88,13 +69,6 @@ def expand(arr: WeightedArrangement, powers: tuple[int, ...],
     The line product is expanded once, over Gaussian integers, by the
     binomial theorem and coefficient convolution.
     """
-    if not monomials:
-        return []
-    top = sum(powers) + max(u + v for u, v in monomials)
-    if top > MAX_EXPANDED_DEGREE:
-        raise ExpansionTooLargeError(
-            f"the expansion has degree above MAX_EXPANDED_DEGREE = "
-            f"{MAX_EXPANDED_DEGREE}")
     base = HomogeneousForm.of(0, {0: 1})
     for line, power in zip(arr.lines, powers):
         if power:
@@ -105,6 +79,10 @@ def expand(arr: WeightedArrangement, powers: tuple[int, ...],
 def generators(arr: WeightedArrangement, ideal: IdealDescriptor
                ) -> list[BivariatePolynomial]:
     """Generators prod ell_i^{b_i} * x^j * y^{p-j}, j = p..0 (p+1 of them)."""
+    if sum(ideal.b) + ideal.p > MAX_GENERATOR_DEGREE:
+        raise ExpansionTooLargeError(
+            f"the generators have degree above MAX_GENERATOR_DEGREE = "
+            f"{MAX_GENERATOR_DEGREE}")
     return expand(arr, ideal.b,
                   [(j, ideal.p - j) for j in range(ideal.p, -1, -1)])
 

@@ -215,7 +215,7 @@ def _gauss_gcd(a: Gaussian, b: Gaussian) -> Gaussian:
 
 def _divide_primitive(coeffs: list[Gaussian], alpha: Gaussian,
                       beta: Gaussian) -> list[Gaussian] | None:
-    """Exact quotient of a form by alpha*x + beta*y with alpha, beta != 0
+    """Exact quotient of a form by alpha*x + beta*y with alpha != 0
     and gcd(alpha, beta) = 1, or None if it does not divide.
 
     Synthetic division from the x^d end.  By Gauss's lemma over Z[i] a
@@ -294,14 +294,8 @@ class HomogeneousForm:
                 sr, si = sr * ar - si * ai, sr * ai + si * ar
         return HomogeneousForm._reduced(n, coeffs, self.den ** n)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(re or im for re, im in self.coeffs)
-
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         p, q = self.coeffs, other.coeffs
-        if sum(map(any, p)) > sum(map(any, q)):
-            p, q = q, p
         out_r = [0] * (len(p) + len(q) - 1)
         out_i = [0] * len(out_r)
         for i, (a, b) in enumerate(p):
@@ -324,35 +318,25 @@ class HomogeneousForm:
                  ) -> "HomogeneousForm | None":
         """Exact quotient by line^times for a linear form `line`, or None
         if line^times does not divide this nonzero form."""
-        if line.degree != 1 or line.is_zero:
+        if line.degree != 1 or line.coeffs == ((0, 0), (0, 0)):
             raise ValueError("divisor must be a nonzero linear form")
-        nonzero = [j for j, c in enumerate(self.coeffs) if c != (0, 0)]
-        if times > self.degree or not nonzero:
+        if times > self.degree:
             return None
-        lo, hi, d = nonzero[0], nonzero[-1], self.degree
         # Divide by the primitive part alpha*x + beta*y = line*den/g: a
         # line like x + (1+i)/2*y is (2x + (1+i)y)/2, whose content is 1+i.
         alpha, beta = line.coeffs
         g = _gauss_gcd(alpha, beta)
         alpha, beta = _gauss_div(alpha, g), _gauss_div(beta, g)
-        if alpha == (0, 0):  # y^times: the x^d.. end must vanish
-            if lo < times:
+        coeffs = list(self.coeffs)
+        if alpha == (0, 0):  # y^times: the x^d .. x^(d-times+1) terms vanish
+            if any(map(any, coeffs[:times])):
                 return None
-            coeffs = list(self.coeffs[times:])
-        elif beta == (0, 0):  # x^times: the ..y^d end must vanish
-            if d - hi < times:
-                return None
-            coeffs = list(self.coeffs[:d + 1 - times])
+            coeffs = coeffs[times:]
         else:
-            # x^(d-hi) * y^lo * core, and the line divides only the core
-            core = list(self.coeffs[lo:hi + 1])
-            if hi - lo < times:
-                return None
             for _ in range(times):
-                core = _divide_primitive(core, alpha, beta)
-                if core is None:
+                coeffs = _divide_primitive(coeffs, alpha, beta)
+                if coeffs is None:
                     return None
-            coeffs = [(0, 0)] * lo + core + [(0, 0)] * (d - hi)
         # self / line^t = (self / primitive^t) * (den_line * conj(g) / |g|^2)^t
         gr, gi = g
         sr, si = line.den ** times, 0
@@ -362,7 +346,8 @@ class HomogeneousForm:
             coeffs = [(re * sr - im * si, re * si + im * sr)
                       for re, im in coeffs]
         return HomogeneousForm._reduced(
-            d - times, coeffs, self.den * (gr * gr + gi * gi) ** times)
+            self.degree - times, coeffs,
+            self.den * (gr * gr + gi * gi) ** times)
 
     def to_polynomial(self) -> BivariatePolynomial:
         d, den = self.degree, self.den

@@ -14,13 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import WeightedArrangement, preset
-from .multiplier_ideal import (
-    IdealDescriptor,
-    generator_strings,
-    generators,
-    ideal_of,
-    ideal_sequence,
-)
+from .multiplier_ideal import IdealDescriptor, generator_strings, generators, ideal_of
 from .polynomials import BivariatePolynomial
 from .singularity import (
     ComparisonResult,
@@ -65,13 +59,9 @@ def entry(arr: WeightedArrangement, m: int) -> SequenceEntry:
 
 
 def build_sequence(arr: WeightedArrangement, m_max: int) -> list[SequenceEntry]:
-    """entry(arr, m) for m = 1..m_max, built in one integer pass."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    return [
-        SequenceEntry(m=m, ideal=ideal, cls=class_of_ideal(arr, ideal, m))
-        for m, ideal in enumerate(ideal_sequence(arr, m_max), 1)
-    ]
+    return [entry(arr, m) for m in range(1, m_max + 1)]
 
 
 def adjacent_violations(arr: WeightedArrangement, m_max: int

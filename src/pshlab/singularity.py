@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Line, WeightedArrangement
-from .gaussian import integer_ratio, to_fraction
+from .gaussian import to_fraction
 from .multiplier_ideal import IdealDescriptor
 
 
@@ -139,11 +139,11 @@ def class_of_ideal(arr: WeightedArrangement, ideal: IdealDescriptor, m
     The common line factors contribute b_i/m per line; the residual power
     of the maximal ideal contributes a radial exponent p/m.
     """
-    num, den = integer_ratio(m)
-    if num <= 0:
+    m = to_fraction(m)
+    if m <= 0:
         raise ValueError("approximation index m must be positive")
-    return SingularityClass.scaled(
-        arr.key, tuple([v * den for v in (*ideal.b, ideal.p)]), num)
+    return SingularityClass.scaled(arr.key, tuple(
+        [v * m.denominator for v in (*ideal.b, ideal.p)]), m.numerator)
 
 
 def _require_same_key(s1: SingularityClass, s2: SingularityClass) -> None:

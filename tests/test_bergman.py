@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pshlab import bergman
+from pshlab import bergman, multiplier_ideal
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.bergman import (
     DegreeCutoffError,
@@ -20,6 +20,7 @@ from pshlab.bergman import (
     radial_factor,
     sphere_points,
 )
+from pshlab.gaussian import GaussianRational
 from pshlab.polynomials import BivariatePolynomial as P
 from pshlab.sequence import entry
 from pshlab.singularity import lelong
@@ -178,6 +179,26 @@ def test_lelong_estimate_large_m(m):
     symbolic = float(lelong(entry(THEOREM1, m).cls))
     assert math.isfinite(est.value)
     assert est.value == pytest.approx(symbolic, abs=0.05)
+
+
+def test_basis_at_m_1000():
+    # lelong_estimate reaches m = 1000 on theorem1, where the basis has
+    # degree about 2000: above the generators' cap, which basis() must not
+    # share.  J(1000 phi) = (xy(x+y))^666 * (x, y), so the first basis
+    # element is x^667 y^666 (x+y)^666 with binomial coefficients.
+    quad = QuadratureSpec(12, 100_000, 42)
+    result = gram_matrix(THEOREM1, 1000, bergman._effective_spec(
+        THEOREM1, 1000, quad))
+    basis = result.basis()
+    assert len(basis) == result.basis_size > 1
+    assert [f.multiplicity() for f in basis] == [f.degree() for f in basis]
+    assert basis[0].degree() == 1999
+    assert dict(basis[0].terms()) == {
+        (1333 - k, 666 + k): GaussianRational.of(math.comb(666, k))
+        for k in range(667)}
+    with pytest.raises(multiplier_ideal.ExpansionTooLargeError):
+        multiplier_ideal.generators(
+            THEOREM1, multiplier_ideal.ideal_of(THEOREM1, 1000))
 
 
 def test_truncation_monotonicity():

@@ -176,7 +176,7 @@ def test_analyze_refuses_huge_generator_expansion(tmp_path):
     proc = run_cli(["analyze", "--file", str(path), "--m", "1"], timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-    assert "MAX_EXPANDED_DEGREE" in proc.stderr
+    assert "MAX_GENERATOR_DEGREE" in proc.stderr
     for args in (["lct"], ["sequence", "--m-max", "3"],
                  ["analyze", "--m", "1", "--format", "csv"]):
         done = run_cli(args + ["--file", str(path)], timeout=60)
