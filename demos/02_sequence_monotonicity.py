@@ -11,16 +11,15 @@ correct limit.
 from pshlab import (
     adjacent_violations,
     check_subsequence,
-    monotonicity_report,
     pattern_violations,
     preset,
-    verify_paper,
 )
+from pshlab.cli import main
 
 arr = preset("theorem1")
 
 print("Sequence table for m = 1..12:")
-print(monotonicity_report(arr, 12).to_markdown())
+main(["sequence", "--preset", "theorem1", "--m-max", "12", "--format", "md"])
 print()
 
 print("Adjacent violations up to m = 60:", adjacent_violations(arr, 60))
@@ -45,4 +44,4 @@ print("  point: ", check_subsequence(preset("point"), range(1, 41)).to_dict())
 print()
 
 print("Full claim registry:")
-print(verify_paper().to_markdown())
+main(["verify-paper", "--format", "md"])

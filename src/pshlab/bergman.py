@@ -30,6 +30,7 @@ import numpy as np
 from .arrangement import Line, WeightedArrangement
 from .multiplier_ideal import expand, ideal_of, min_admissible_degree
 from .polynomials import BivariatePolynomial
+from .singularity import generic_rays
 
 MIN_SPHERE_SAMPLES = 10_000
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
@@ -565,24 +566,10 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
     """Average slope of phi_hat_m against log r along generic rays."""
     spec = _effective_spec(arr, m, quad)
     result = gram if gram is not None else gram_matrix(arr, m, spec)
-    gen = np.random.Generator(np.random.Philox(key=spec.seed + 0x9E3779B9))
-    directions = []
-    while len(directions) < rays:
-        raw = gen.standard_normal(4)
-        norm = math.sqrt(float(raw @ raw))
-        if norm == 0.0:
-            continue
-        u = (complex(raw[0], raw[1]) / norm, complex(raw[2], raw[3]) / norm)
-        dist = min(
-            (abs(line.evaluate(*u)) / line.coeff_norm() for line in arr.lines),
-            default=1.0,
-        )
-        if dist > 0.05:
-            directions.append(u)
     r = np.geomspace(r_lo, r_hi, n_points)
     log_r = np.log(r)
     slopes = []
-    for u in directions:
+    for u in generic_rays(arr, rays, spec.seed):
         vals = _phi_on_points(result, r * u[0], r * u[1])
         slopes.append(_fit_slope(log_r, vals))
     return RaySlopes(

@@ -13,7 +13,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .arrangement import (
@@ -24,6 +24,7 @@ from .arrangement import (
     preset,
 )
 from .multiplier_ideal import ExpansionTooLargeError, generator_strings, generators
+from .polynomials import BivariatePolynomial
 from .sequence import (
     SequenceEntry,
     entry,
@@ -31,11 +32,57 @@ from .sequence import (
     resolve_claims,
     verify_paper,
 )
-from .singularity import compare, lelong
+from .singularity import Relation, compare, lelong
 
 
 class UsageError(Exception):
     """Bad flags or unusable input files (exit code 2)."""
+
+
+_ENTRY_CSV_HEADER = ["m", "b", "p", "gamma", "delta", "nu"]
+
+_MD_VERDICTS = {
+    Relation.EQUIVALENT: "equivalent",
+    Relation.FIRST_MORE_SINGULAR: "more singular (ok)",
+    Relation.SECOND_MORE_SINGULAR: "less singular (VIOLATION)",
+    Relation.INCOMPARABLE: "incomparable (VIOLATION)",
+}
+
+
+def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A markdown table; each separator cell is as wide as its padded
+    header cell."""
+    def line(cells: Sequence) -> str:
+        return "| " + " | ".join(str(c) for c in cells) + " |"
+
+    rule = "|" + "|".join("-" * (len(h) + 2) for h in header) + "|"
+    return "\n".join([line(header), rule, *(line(r) for r in rows)])
+
+
+def _entry_csv_row(ent: SequenceEntry) -> list[str]:
+    return [str(ent.m), ";".join(str(v) for v in ent.ideal.b),
+            str(ent.ideal.p), ";".join(str(g) for g in ent.cls.gamma),
+            str(ent.cls.delta), str(lelong(ent.cls))]
+
+
+def _gammas(ent: SequenceEntry) -> str:
+    return "(" + ", ".join(str(g) for g in ent.cls.gamma) + ")"
+
+
+def _term_lists(gens: list[BivariatePolynomial]) -> list[list]:
+    """The JSON term lists of `gens`.  From Python 3.11, str() refuses an
+    int of more than sys.get_int_max_str_digits() digits, which a
+    coefficient of an expanded generator can reach."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # n has more than `limit` digits iff n >= 10**limit > 8**limit
+    if limit and any(n.bit_length() > 3 * limit and n >= 10 ** limit
+                     for g in gens for _, c in g.terms() for q in (c.re, c.im)
+                     for n in (abs(q.numerator), q.denominator)):
+        raise UsageError(
+            f"a generator coefficient has more than {limit} digits, "
+            "Python's int-to-str limit; the csv and md formats do not "
+            "print coefficients")
+    return [g.to_term_list() for g in gens]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,27 +239,21 @@ def _cmd_analyze(args) -> int:
                 "m": ent.m,
                 "ideal": ent.ideal.to_dict(),
                 "generators": generator_strings(arr, ent.ideal),
-                "generator_terms": [g.to_term_list()
-                                    for g in generators(arr, ent.ideal)],
+                "generator_terms": _term_lists(generators(arr, ent.ideal)),
                 "class": ent.cls.to_dict(),
                 "lelong": str(lelong(ent.cls)),
             } for ent in entries],
         }
 
     def to_csv() -> list[list]:
-        return [SequenceEntry.CSV_HEADER] + [ent.csv_row() for ent in entries]
+        return [_ENTRY_CSV_HEADER] + [_entry_csv_row(ent) for ent in entries]
 
     def to_markdown() -> str:
-        lines = ["| m | ideal (b; p) | generators | gamma | delta | nu |",
-                 "|---|--------------|------------|-------|-------|----|"]
-        for ent in entries:
-            lines.append(
-                f"| {ent.m} | {list(ent.ideal.b)}; {ent.ideal.p} "
-                f"| {', '.join(generator_strings(arr, ent.ideal))} "
-                f"| ({', '.join(str(g) for g in ent.cls.gamma)}) "
-                f"| {ent.cls.delta} | {lelong(ent.cls)} |"
-            )
-        return "\n".join(lines)
+        return markdown_table(
+            ["m", "ideal (b; p)", "generators", "gamma", "delta", "nu"],
+            [[ent.m, f"{list(ent.ideal.b)}; {ent.ideal.p}",
+              ", ".join(generator_strings(arr, ent.ideal)), _gammas(ent),
+              ent.cls.delta, lelong(ent.cls)] for ent in entries])
 
     try:
         _emit(args, to_json, to_csv, to_markdown)
@@ -244,8 +285,33 @@ def _cmd_sequence(args) -> int:
         report = monotonicity_report(arr, args.m_max, indices)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    entries = report.entries
+
+    def to_csv() -> list[list]:
+        verdicts = [""] + [c.relation.value for c in report.comparisons]
+        return [_ENTRY_CSV_HEADER + ["vs_previous"]] + [
+            _entry_csv_row(ent) + [verdict]
+            for ent, verdict in zip(entries, verdicts)]
+
+    def to_markdown() -> str:
+        verdicts = ["-"] + [_MD_VERDICTS[c.relation] for c in report.comparisons]
+        text = markdown_table(
+            ["m", "b", "p", "gamma", "delta", "nu", "vs previous"],
+            [[ent.m, list(ent.ideal.b), ent.ideal.p, _gammas(ent),
+              ent.cls.delta, lelong(ent.cls), verdict]
+             for ent, verdict in zip(entries, verdicts)])
+        if report.violations:
+            pairs = ", ".join(f"({a},{b})" for a, b in report.violations)
+            text += f"\n\nViolating steps: {pairs}"
+        v = report.subsequence
+        if v is not None:
+            text += (f"\n\nSubsequence {list(v.indices[:4])}...: "
+                     f"decreasing={v.decreasing}, strictly={v.strictly}, "
+                     f"converges={v.converges_to_weight}")
+        return text
+
     _emit(args, lambda: {"command": "sequence", **report.to_dict()},
-          report.to_csv_rows, report.to_markdown)
+          to_csv, to_markdown)
     return 0
 
 
@@ -308,8 +374,15 @@ def _cmd_verify_paper(args) -> int:
             [r.claim_id, str(r.passed)] for r in report.results
         ]
 
+    def to_markdown() -> str:
+        return markdown_table(
+            ["claim", "status", "description"],
+            [[r.claim_id, "PASS" if r.passed else "FAIL", r.description]
+             for r in report.results],
+        ) + "\n\nOverall: " + ("PASS" if report.all_passed else "FAIL")
+
     _emit(args, lambda: {"command": "verify-paper", **report.to_dict()},
-          to_csv, report.to_markdown)
+          to_csv, to_markdown)
     return 0 if report.all_passed else 1
 
 

@@ -35,13 +35,6 @@ class SequenceEntry:
     ideal: IdealDescriptor
     cls: SingularityClass
 
-    CSV_HEADER = ("m", "b", "p", "gamma", "delta", "nu")
-
-    def csv_row(self) -> list[str]:
-        return [str(self.m), ";".join(str(v) for v in self.ideal.b),
-                str(self.ideal.p), ";".join(str(g) for g in self.cls.gamma),
-                str(self.cls.delta), str(lelong(self.cls))]
-
     def to_dict(self) -> dict:
         return {
             "m": self.m,
@@ -64,17 +57,25 @@ def build_sequence(arr: WeightedArrangement, m_max: int) -> list[SequenceEntry]:
     return [entry(arr, m) for m in range(1, m_max + 1)]
 
 
+def _walk(entries: Sequence[SequenceEntry]
+          ) -> tuple[list[ComparisonResult], list[tuple[int, int]]]:
+    """The consecutive-step walk: compare(phi_next, phi_prev) for each step,
+    and the steps (m, m') where phi_m' is not at least as singular."""
+    steps = [compare(nxt.cls, prev.cls) for prev, nxt in zip(entries, entries[1:])]
+    violations = [
+        (prev.m, nxt.m)
+        for prev, nxt, step in zip(entries, entries[1:], steps)
+        if step.relation in (Relation.SECOND_MORE_SINGULAR, Relation.INCOMPARABLE)
+    ]
+    return steps, violations
+
+
 def adjacent_violations(arr: WeightedArrangement, m_max: int
                         ) -> list[tuple[int, int]]:
     """Steps (m, m+1) where phi_{m+1} fails to be at least as singular."""
     if m_max < 2:
         raise ValueError("need m_max >= 2 to compare adjacent entries")
-    entries = build_sequence(arr, m_max)
-    out = []
-    for prev, nxt in zip(entries, entries[1:]):
-        if not more_singular_or_equal(nxt.cls, prev.cls):
-            out.append((prev.m, nxt.m))
-    return out
+    return monotonicity_report(arr, m_max).violations
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,19 @@ class SubsequenceVerdict:
         }
 
 
+def _subsequence_verdict(arr: WeightedArrangement,
+                         entries: Sequence[SequenceEntry]) -> SubsequenceVerdict:
+    steps, failures = _walk(entries)
+    return SubsequenceVerdict(
+        indices=tuple(ent.m for ent in entries),
+        decreasing=not failures,
+        strictly=all(s.relation is Relation.FIRST_MORE_SINGULAR for s in steps),
+        converges_to_weight=all(deviation_within_bounds(arr, ent)
+                                for ent in entries),
+        first_failure=failures[0] if failures else None,
+    )
+
+
 def check_subsequence(arr: WeightedArrangement, indices: Iterable[int]
                       ) -> SubsequenceVerdict:
     idx = tuple(int(i) for i in indices)
@@ -161,27 +175,7 @@ def check_subsequence(arr: WeightedArrangement, indices: Iterable[int]
         a >= b for a, b in zip(idx, idx[1:])
     ):
         raise ValueError("indices must be a strictly increasing list of m >= 1")
-    entries = [entry(arr, m) for m in idx]
-    decreasing = True
-    strictly = True
-    first_failure = None
-    for prev, nxt in zip(entries, entries[1:]):
-        if not more_singular_or_equal(nxt.cls, prev.cls):
-            decreasing = False
-            strictly = False
-            if first_failure is None:
-                first_failure = (prev.m, nxt.m)
-            continue
-        if compare(nxt.cls, prev.cls).relation is Relation.EQUIVALENT:
-            strictly = False
-    converges = all(deviation_within_bounds(arr, ent) for ent in entries)
-    return SubsequenceVerdict(
-        indices=idx,
-        decreasing=decreasing,
-        strictly=strictly,
-        converges_to_weight=converges,
-        first_failure=first_failure,
-    )
+    return _subsequence_verdict(arr, [entry(arr, m) for m in idx])
 
 
 # -- full report ----------------------------------------------------------
@@ -204,59 +198,12 @@ class MonotonicityReport:
             "subsequence": self.subsequence.to_dict() if self.subsequence else None,
         }
 
-    def to_markdown(self) -> str:
-        lines = [
-            "| m | b | p | gamma | delta | nu | vs previous |",
-            "|---|---|---|-------|-------|----|-------------|",
-        ]
-        for i, ent in enumerate(self.entries):
-            gammas = ", ".join(str(g) for g in ent.cls.gamma)
-            if i == 0:
-                verdict = "-"
-            else:
-                rel = self.comparisons[i - 1].relation
-                verdict = {
-                    Relation.EQUIVALENT: "equivalent",
-                    Relation.FIRST_MORE_SINGULAR: "more singular (ok)",
-                    Relation.SECOND_MORE_SINGULAR: "less singular (VIOLATION)",
-                    Relation.INCOMPARABLE: "incomparable (VIOLATION)",
-                }[rel]
-            lines.append(
-                f"| {ent.m} | {list(ent.ideal.b)} | {ent.ideal.p} "
-                f"| ({gammas}) | {ent.cls.delta} | {lelong(ent.cls)} | {verdict} |"
-            )
-        if self.violations:
-            pairs = ", ".join(f"({a},{b})" for a, b in self.violations)
-            lines.append("")
-            lines.append(f"Violating steps: {pairs}")
-        if self.subsequence is not None:
-            lines.append("")
-            v = self.subsequence
-            lines.append(
-                f"Subsequence {list(v.indices[:4])}...: decreasing={v.decreasing}, "
-                f"strictly={v.strictly}, converges={v.converges_to_weight}"
-            )
-        return "\n".join(lines)
-
-    def to_csv_rows(self) -> list[list[str]]:
-        verdicts = [""] + [c.relation.value for c in self.comparisons]
-        return [[*SequenceEntry.CSV_HEADER, "vs_previous"]] + [
-            ent.csv_row() + [verdict]
-            for ent, verdict in zip(self.entries, verdicts)]
-
 
 def monotonicity_report(arr: WeightedArrangement, m_max: int,
                         indices: Sequence[int] | None = None
                         ) -> MonotonicityReport:
     entries = build_sequence(arr, m_max)
-    comparisons = [
-        compare(nxt.cls, prev.cls) for prev, nxt in zip(entries, entries[1:])
-    ]
-    violations = [
-        (entries[i].m, entries[i + 1].m)
-        for i, c in enumerate(comparisons)
-        if c.relation in (Relation.SECOND_MORE_SINGULAR, Relation.INCOMPARABLE)
-    ]
+    comparisons, violations = _walk(entries)
     sub = check_subsequence(arr, indices) if indices else None
     return MonotonicityReport(
         arrangement=arr,
@@ -300,20 +247,6 @@ class VerificationReport:
             "all_passed": self.all_passed,
         }
 
-    def to_markdown(self) -> str:
-        lines = [
-            "| claim | status | description |",
-            "|-------|--------|-------------|",
-        ]
-        for r in self.results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"| {r.claim_id} | {status} | {r.description} |")
-        lines.append("")
-        lines.append(
-            "Overall: " + ("PASS" if self.all_passed else "FAIL")
-        )
-        return "\n".join(lines)
-
 
 def _claim_generators() -> ClaimResult:
     arr = preset("theorem1")
@@ -352,9 +285,9 @@ def _claim_generators() -> ClaimResult:
 
 def _claim_adjacent_violation() -> ClaimResult:
     arr = preset("theorem1")
-    violations = adjacent_violations(arr, 5)
-    c3, c4 = entry(arr, 3).cls, entry(arr, 4).cls
-    witness = directed_violation(c4, c3)
+    report = monotonicity_report(arr, 5)
+    violations = report.violations
+    witness = directed_violation(report.entries[3].cls, report.entries[2].cls)
     ok = (
         (3, 4) in violations
         and witness is not None
@@ -401,15 +334,14 @@ def _claim_pattern(k_max: int = 100) -> ClaimResult:
 
 def _claim_pow2(k_max: int = 10) -> ClaimResult:
     arr = preset("theorem1")
-    indices = [2 ** k for k in range(1, k_max + 1)]
-    verdict = check_subsequence(arr, indices)
+    entries = [entry(arr, 2 ** k) for k in range(1, k_max + 1)]
+    verdict = _subsequence_verdict(arr, entries)
     ok = verdict.decreasing
     # Alternating fine structure: gamma strictly increases on steps leaving
     # an even exponent, and stays equal (delta absorbing the difference) on
     # steps leaving an odd exponent.
     details: dict = {"decreasing": verdict.decreasing, "steps": {}}
-    for k in range(1, k_max):
-        lo, hi = entry(arr, 2 ** k), entry(arr, 2 ** (k + 1))
+    for k, (lo, hi) in enumerate(zip(entries, entries[1:]), start=1):
         g_lo, g_hi = lo.cls.gamma[0], hi.cls.gamma[0]
         if k % 2 == 0:
             step_ok = g_hi > g_lo
@@ -433,11 +365,11 @@ def _claim_pow2(k_max: int = 10) -> ClaimResult:
 
 def _claim_linear_growth(k_max: int = 50) -> ClaimResult:
     arr = preset("theorem1")
-    indices = [3 * k + 2 for k in range(0, k_max + 1)]
-    verdict = check_subsequence(arr, indices)
+    entries = [entry(arr, 3 * k + 2) for k in range(0, k_max + 1)]
+    verdict = _subsequence_verdict(arr, entries)
     gamma_ok = all(
-        entry(arr, 3 * k + 2).cls.gamma[0] == Fraction(2 * k + 1, 3 * k + 2)
-        for k in range(0, k_max + 1)
+        ent.cls.gamma[0] == Fraction(2 * k + 1, 3 * k + 2)
+        for k, ent in enumerate(entries)
     )
     ok = verdict.decreasing and verdict.strictly and verdict.converges_to_weight \
         and gamma_ok
@@ -461,7 +393,7 @@ def _claim_smooth(m_max: int = 100) -> ClaimResult:
         "smooth-constant-sequence",
         f"a smooth divisor gives a constant class sequence for m <= {m_max}",
         ok,
-        {"violations": adjacent_violations(arr, m_max)},
+        {"violations": _walk(entries)[1]},
     )
 
 
@@ -471,7 +403,7 @@ def _claim_point(m_max: int = 100) -> ClaimResult:
     deltas_ok = all(
         e.cls.delta == Fraction(e.m - 1, e.m) and not e.cls.gamma for e in entries
     )
-    verdict = check_subsequence(arr, range(1, m_max + 1))
+    verdict = _subsequence_verdict(arr, entries)
     ok = deltas_ok and verdict.decreasing and verdict.strictly
     return ClaimResult(
         "point-strictly-decreasing",

@@ -208,8 +208,10 @@ def lelong(s: SingularityClass) -> Fraction:
 # -- numerical boundedness probe -----------------------------------------
 
 
-def _generic_rays(arr: WeightedArrangement, count: int, seed: int
-                  ) -> list[tuple[complex, complex]]:
+def generic_rays(arr: WeightedArrangement, count: int, seed: int
+                 ) -> list[tuple[complex, complex]]:
+    """`count` unit directions in C^2, drawn from `seed`, each at distance
+    more than 0.05 from every line of the arrangement."""
     rng = random.Random(seed)
     rays: list[tuple[complex, complex]] = []
     while len(rays) < count:
@@ -240,7 +242,7 @@ def _probe_geometry(arr: WeightedArrangement, decades: int,
     ell_i(v_i) = 0 substituted exactly; plain coordinate arithmetic would
     absorb offsets below 1e-16 into the unit-size direction.
     """
-    directions = _generic_rays(arr, rays, seed)
+    directions = generic_rays(arr, rays, seed)
     per_scale = []
     for d in range(1, decades + 1):
         r = 10.0 ** (-d)

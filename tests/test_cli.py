@@ -183,6 +183,25 @@ def test_analyze_refuses_huge_generator_expansion(tmp_path):
         assert done.returncode == 0 and done.stdout, args
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python < 3.11 has no int-to-str digit limit")
+def test_analyze_json_refuses_unprintable_coefficients(tmp_path):
+    # (x + 2^999*y)^15 has coefficients beyond the 4,300-digit int-to-str
+    # limit: the JSON report used to end in a ValueError traceback
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "lines": [[["1", "0"], ["0", "0"]], [["1", "0"], [str(2 ** 999), "0"]]],
+        "coeffs": ["1", "3"],
+    }), encoding="utf-8")
+    proc = run_cli(["analyze", "--file", str(path), "--m", "5"], timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    for fmt in ("csv", "md"):
+        done = run_cli(["analyze", "--file", str(path), "--m", "5",
+                        "--format", fmt], timeout=60)
+        assert done.returncode == 0 and done.stdout, fmt
+
+
 def test_arrangement_file_round_trip(tmp_path, capsys):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({
@@ -396,3 +415,64 @@ def test_sequence_formats_agree(capsys):
     assert len(rows) == 60 and (3, 4) in violations
     assert parsed["csv"] == parsed["json"]
     assert parsed["md"] == parsed["json"]
+
+
+# Stdout of three reports in md and csv.  The renderers in cli.py must
+# reproduce these bytes exactly.
+GOLDEN_REPORTS = {
+    ("sequence --preset theorem1 --m-max 7 --indices 2,4,8", "md"): """\
+| m | b | p | gamma | delta | nu | vs previous |
+|---|---|---|-------|-------|----|-------------|
+| 1 | [0, 0, 0] | 1 | (0, 0, 0) | 1 | 1 | - |
+| 2 | [1, 1, 1] | 0 | (1/2, 1/2, 1/2) | 0 | 3/2 | more singular (ok) |
+| 3 | [2, 2, 2] | 0 | (2/3, 2/3, 2/3) | 0 | 2 | more singular (ok) |
+| 4 | [2, 2, 2] | 1 | (1/2, 1/2, 1/2) | 1/4 | 7/4 | less singular (VIOLATION) |
+| 5 | [3, 3, 3] | 0 | (3/5, 3/5, 3/5) | 0 | 9/5 | more singular (ok) |
+| 6 | [4, 4, 4] | 0 | (2/3, 2/3, 2/3) | 0 | 2 | more singular (ok) |
+| 7 | [4, 4, 4] | 1 | (4/7, 4/7, 4/7) | 1/7 | 13/7 | less singular (VIOLATION) |
+
+Violating steps: (3,4), (6,7)
+
+Subsequence [2, 4, 8]...: decreasing=True, strictly=True, converges=True
+""",
+    ("sequence --preset theorem1 --m-max 7 --indices 2,4,8", "csv"): """\
+m,b,p,gamma,delta,nu,vs_previous
+1,0;0;0,1,0;0;0,1,1,
+2,1;1;1,0,1/2;1/2;1/2,0,3/2,first_more_singular
+3,2;2;2,0,2/3;2/3;2/3,0,2,first_more_singular
+4,2;2;2,1,1/2;1/2;1/2,1/4,7/4,second_more_singular
+5,3;3;3,0,3/5;3/5;3/5,0,9/5,first_more_singular
+6,4;4;4,0,2/3;2/3;2/3,0,2,first_more_singular
+7,4;4;4,1,4/7;4/7;4/7,1/7,13/7,second_more_singular
+""",
+    ("analyze --preset theorem1 --m 2 4", "md"): """\
+| m | ideal (b; p) | generators | gamma | delta | nu |
+|---|--------------|------------|-------|-------|----|
+| 2 | [1, 1, 1]; 0 | x*y*(x+y) | (1/2, 1/2, 1/2) | 0 | 3/2 |
+| 4 | [2, 2, 2]; 1 | (x*y*(x+y))^2 * x, (x*y*(x+y))^2 * y | (1/2, 1/2, 1/2) | 1/4 | 7/4 |
+""",
+    ("analyze --preset theorem1 --m 2 4", "csv"): """\
+m,b,p,gamma,delta,nu
+2,1;1;1,0,1/2;1/2;1/2,0,3/2
+4,2;2;2,1,1/2;1/2;1/2,1/4,7/4
+""",
+    ("verify-paper --claims thm1 prop2", "md"): """\
+| claim | status | description |
+|-------|--------|-------------|
+| adjacent-violation-3-4 | PASS | phi_4 is not at least as singular as phi_3 (no constants can fix the step) |
+| pow2-subsequence-decreasing | PASS | the powers-of-two subsequence decreases for k = 1..10, with the two alternating exponent patterns |
+
+Overall: PASS
+""",
+    ("verify-paper --claims thm1 prop2", "csv"): """\
+claim,passed
+adjacent-violation-3-4,True
+pow2-subsequence-decreasing,True
+""",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN_REPORTS))
+def test_report_bytes_are_pinned(command, fmt, capsys):
+    assert main([*command.split(), "--format", fmt]) == 0
+    assert capsys.readouterr().out == GOLDEN_REPORTS[command, fmt]

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pshlab.arrangement import preset
+from pshlab.arrangement import new_arrangement, preset
 from pshlab.multiplier_ideal import ideal_of
 from pshlab.sequence import (
     adjacent_violations,
@@ -14,7 +15,13 @@ from pshlab.sequence import (
     resolve_claims,
     verify_paper,
 )
-from pshlab.singularity import class_of_ideal, class_of_weight, compare, Relation
+from pshlab.singularity import (
+    Relation,
+    class_of_ideal,
+    class_of_weight,
+    compare,
+    more_singular_or_equal,
+)
 
 THEOREM1 = preset("theorem1")
 
@@ -47,6 +54,46 @@ def test_adjacent_violations():
 def test_adjacent_violations_are_exactly_3k_to_3k_plus_1():
     got = adjacent_violations(THEOREM1, 40)
     assert got == [(3 * k, 3 * k + 1) for k in range(1, 14)]
+
+
+LINE_CHOICES = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, ("0", "1"))]
+
+
+@st.composite
+def arrangements(draw):
+    lines = draw(st.lists(st.sampled_from(LINE_CHOICES), max_size=4,
+                          unique=True))
+    weights = draw(st.lists(
+        st.fractions(min_value=0, max_value=2, max_denominator=7),
+        min_size=len(lines), max_size=len(lines)))
+    mass = draw(st.fractions(min_value=0, max_value=2, max_denominator=5))
+    return new_arrangement(lines, weights, mass)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(arrangements(),
+       st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True)
+       .map(sorted),
+       st.integers(2, 30))
+def test_walk_matches_pairwise_reference(arr, indices, m_max):
+    # brute-force reference from directed checks alone, without compare()
+    def failures(entries):
+        return [(a.m, b.m) for a, b in zip(entries, entries[1:])
+                if not more_singular_or_equal(b.cls, a.cls)]
+
+    sub = [entry(arr, m) for m in indices]
+    fails = failures(sub)
+    strictly = all(more_singular_or_equal(b.cls, a.cls)
+                   and not more_singular_or_equal(a.cls, b.cls)
+                   for a, b in zip(sub, sub[1:]))
+    verdict = check_subsequence(arr, indices)
+    assert verdict.decreasing == (not fails)
+    assert verdict.strictly == strictly
+    assert verdict.first_failure == (fails[0] if fails else None)
+
+    adjacent = failures([entry(arr, m) for m in range(1, m_max + 1)])
+    assert adjacent_violations(arr, m_max) == adjacent
+    assert monotonicity_report(arr, m_max).violations == adjacent
 
 
 def test_pattern_violations():
@@ -120,13 +167,10 @@ def test_classes_ignore_additive_constants():
 
 
 def test_monotonicity_report_renders():
+    # the md and csv bytes are pinned in test_cli.py
     report = monotonicity_report(THEOREM1, 7, indices=[2, 4, 8])
-    md = report.to_markdown()
-    assert "VIOLATION" in md
     data = report.to_dict()
     assert data["violations"] == [[3, 4], [6, 7]]
-    rows = report.to_csv_rows()
-    assert rows[0][0] == "m" and len(rows) == 8
 
 
 def test_verify_paper_all_claims():
