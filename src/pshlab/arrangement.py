@@ -154,6 +154,53 @@ def new_arrangement(lines, coeffs, point_mass=0) -> WeightedArrangement:
     )
 
 
+def chordal2(a: Line, b: Line) -> Fraction:
+    """Squared chordal distance |<p_a, n_b>|^2 = 1 - |<p_a, p_b>|^2 of the
+    points of two lines on CP^1, exact (on the Gaussian-integer forms), so
+    that close lines do not cancel to 0 in floating point."""
+    (ar, ai), (br, bi) = a.integer_form.coeffs
+    (cr, ci), (dr, di) = b.integer_form.coeffs
+    re = ar * dr - ai * di - br * cr + bi * ci
+    im = ar * di + ai * dr - br * ci - bi * cr
+    return Fraction(re * re + im * im,
+                    (ar * ar + ai * ai + br * br + bi * bi)
+                    * (cr * cr + ci * ci + dr * dr + di * di))
+
+
+# Smallest Gauss-Jacobi disc of a chart: line points closer than about
+# 2^-31 in chordal distance are barely told apart in double precision.
+HOPF_MIN_S1 = 2.0 ** -64
+
+
+@dataclass(frozen=True)
+class HopfChart:
+    """The polar chart q = sqrt(1-s) p + sqrt(s) e^{i theta} n of CP^1
+    around a line point p (unit normal n), where |ell(q)| = |ell| sqrt(s).
+    `spacing` is the squared chordal distance to the nearest other line
+    point (1 without one); the disc s <= s1, s1 the largest power of 2 in
+    [HOPF_MIN_S1, spacing / 4], holds no other line point."""
+
+    point: tuple[complex, complex]
+    normal: tuple[complex, complex]
+    spacing: Fraction
+    s1: float
+
+
+def hopf_charts(arr: WeightedArrangement) -> list[HopfChart]:
+    """One polar chart per line, or one around (1, 0) without lines; the
+    Bergman Gram and the integrability oracle share them."""
+    if not arr.lines:
+        return [HopfChart((1.0 + 0j, 0j), (0j, 1.0 + 0j), Fraction(1), 0.25)]
+    charts = []
+    for line in arr.lines:
+        near = min((chordal2(line, other) for other in arr.lines
+                    if other != line), default=Fraction(1))
+        _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
+        charts.append(HopfChart(line.direction(), line.unit_normal(), near,
+                                2.0 ** (exp - 1)))
+    return charts
+
+
 def phi_value(arr: WeightedArrangement, point: tuple[complex, complex]) -> float:
     """Evaluate phi at a point; exactly -inf on weighted lines and at 0."""
     x, y = complex(point[0]), complex(point[1])

@@ -22,12 +22,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrangement import Line, WeightedArrangement
+from .arrangement import HopfChart, WeightedArrangement, hopf_charts
 from .multiplier_ideal import expand, ideal_of, min_admissible_degree
 from .polynomials import BivariatePolynomial
 from .singularity import generic_rays
@@ -43,10 +42,6 @@ _CHUNK = 1 << 13
 # takes every one of them exactly only while t < HOPF_ANGLES: that is the
 # largest cofactor degree `gram_matrix` accepts.
 HOPF_JACOBI, HOPF_LEGENDRE, HOPF_ANGLES = 16, 16, 48
-# Smallest Gauss-Jacobi disc: 64 dyadic panels at most.  Line points closer
-# than about 2^-31 in chordal distance are barely told apart by the double
-# precision values of the line forms at the nodes anyway.
-HOPF_MIN_S1 = 2.0 ** -64
 
 
 class NonIntegrableExponentError(ArithmeticError):
@@ -92,29 +87,28 @@ class QuadratureSpec:
 
 
 def _basis_layout(arr: WeightedArrangement, m: int, max_degree: int
-                  ) -> tuple[tuple[int, ...], int, list[tuple[int, int]]]:
-    """Line powers b, base degree, and monomial cofactors of the basis.
+                  ) -> tuple[tuple[int, ...], int, range]:
+    """Line powers b, base degree sum(b), and the cofactor degrees of the
+    basis.
 
     The degree <= N part of J(m phi) is spanned by prod ell^b times the
     monomials x^u y^v with u+v >= p and sum(b)+u+v <= N.
     """
     ideal = ideal_of(arr, m)
     base = sum(ideal.b)
-    monos = [
-        (u, t - u)
-        for t in range(ideal.p, max(max_degree - base, ideal.p - 1) + 1)
-        if base + t <= max_degree
-        for u in range(t, -1, -1)
-    ]
-    return ideal.b, base, monos
+    return ideal.b, base, range(ideal.p, max(max_degree - base + 1, ideal.p))
+
+
+def _cofactor_monomials(degrees: range) -> list[tuple[int, int]]:
+    return [(u, t - u) for t in degrees for u in range(t, -1, -1)]
 
 
 def admissible_basis(arr: WeightedArrangement, m: int, max_degree: int
                      ) -> list[BivariatePolynomial]:
     """Degree-sorted basis of the admissible (square-integrable) monomial
     span up to the total-degree cutoff, as expanded polynomials."""
-    b, _base, monos = _basis_layout(arr, m, max_degree)
-    return expand(arr, b, monos)
+    b, _base, degrees = _basis_layout(arr, m, max_degree)
+    return expand(arr, b, _cofactor_monomials(degrees))
 
 
 def radial_factor(d_total: int, s, radius: float = 1.0) -> float:
@@ -164,50 +158,53 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 + x) / 2.0, vectors[0] ** 2 / (alpha + 1.0)
 
 
-def _chordal2(a: Line, b: Line) -> Fraction:
-    """Squared chordal distance |<p_a, n_b>|^2 = 1 - |<p_a, p_b>|^2 of the
-    points of two lines on CP^1, exact in Q(i), so that close lines do not
-    cancel to 0 in floating point."""
-    cross = a.cx * b.cy - a.cy * b.cx
-    return cross.abs2() / ((a.cx.abs2() + a.cy.abs2())
-                           * (b.cx.abs2() + b.cy.abs2()))
+def _chart_nodes(arr: WeightedArrangement, j: int, chart: HopfChart,
+                 s: np.ndarray, w: np.ndarray, phase: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes (x, y) and weights of chart j at the radial nodes s with plain
+    weights w, times the trapezoid angles `phase`.
 
-
-def _hopf_charts(arr: WeightedArrangement):
-    """One polar chart per line: (line point p, unit normal n, s1).
-
-    s1 is the largest power of 2 at most a quarter of the squared chordal
-    distance to the nearest other line point, so the Gauss-Jacobi disc
-    [0, s1] holds no other singularity and closer lines get more dyadic
-    panels; it is at least HOPF_MIN_S1.  Without lines, one chart around
-    (1, 0).
+    The charts are joined by the Shepard partition of unity
+    chi_j = s_j^-3 / sum_i s_i^-3 with s_i = |ell_i(q)|^2 / |ell_i|^2, so
+    they cover CP^1 without a background rule.  A node that lands exactly
+    on another line carries chi_j = 0 and is dropped.
     """
-    if not arr.lines:
-        return [((1.0 + 0j, 0j), (0j, 1.0 + 0j), 0.25)]
+    p, n = chart.point, chart.normal
+    inner = np.sqrt(1.0 - s)[:, None]
+    outer = np.sqrt(s)[:, None] * phase
+    x = (inner * p[0] + outer * n[0]).ravel()
+    y = (inner * p[1] + outer * n[1]).ravel()
+    w = np.repeat(w / len(phase), len(phase))
+    if len(arr.lines) > 1:
+        dist = np.array([np.abs(line.evaluate(x, y)) ** 2
+                         / line.coeff_norm() ** 2 for line in arr.lines])
+        with np.errstate(divide="ignore"):
+            w = w / np.sum((dist[j] / dist) ** 3, axis=0)
+        keep = w > 0.0
+        x, y, w = x[keep], y[keep], w[keep]
+    return x, y, w
+
+
+@functools.lru_cache(maxsize=16)
+def _panel_nodes(arr: WeightedArrangement, legendre: int, angles: int):
+    """The part of the Hopf rule that depends on the arrangement only: the
+    trapezoid phases and, per chart, the chart with its Gauss-Legendre
+    nodes on the dyadic panels [s1, 2 s1], ..., [1/2, 1].  Keyed by the
+    node counts too, so that a changed rule is rebuilt."""
+    phase = np.exp(2j * np.pi * np.arange(angles) / angles)
+    sl, wl = _gauss_jacobi(legendre, 0.0)
     charts = []
-    for line in arr.lines:
-        near = min((_chordal2(line, other) for other in arr.lines
-                    if other != line), default=Fraction(1))
-        _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
-        charts.append((line.direction(), line.unit_normal(), 2.0 ** (exp - 1)))
-    return charts
-
-
-def _radial_rule(alpha: float, s1: float,
-                 legendre: tuple[np.ndarray, np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and plain weights for ds on [0, 1]: Gauss-Jacobi for s^alpha
-    on [0, s1] (its weights divided by s^alpha), then the Gauss-Legendre
-    rule `legendre` of [0, 1] on the panels [s1, 2 s1], ..., [1/2, 1]."""
-    sj, wj = _gauss_jacobi(HOPF_JACOBI, alpha)
-    nodes, weights = [s1 * sj], [s1 * wj / sj ** alpha]
-    sl, wl = legendre
-    edge = s1
-    while edge < 1.0:
-        nodes.append(edge * (1.0 + sl))
-        weights.append(edge * wl)
-        edge *= 2.0
-    return np.concatenate(nodes), np.concatenate(weights)
+    for j, chart in enumerate(hopf_charts(arr)):
+        nodes, weights = [], []
+        edge = chart.s1
+        while edge < 1.0:
+            nodes.append(edge * (1.0 + sl))
+            weights.append(edge * wl)
+            edge *= 2.0
+        charts.append((chart, _chart_nodes(
+            arr, j, chart, np.concatenate(nodes), np.concatenate(weights),
+            phase)))
+    return phase, charts
 
 
 def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
@@ -215,38 +212,21 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
     """Nodes (x, y) on S^3 and weights w with sum(w * F) ~ the S^3 mean of
     any Hopf-fibre invariant F carrying the factor prod |ell_j|^(2 e_j).
 
-    Chart j is q = sqrt(1-s) p_j + sqrt(s) e^{i phi} n_j with measure
-    ds dphi / 2pi (the normalized area of CP^1), in which
-    |ell_j(q)| = |ell_j| sqrt(s).  The charts are joined by the Shepard
-    partition of unity chi_j = s_j^-3 / sum_i s_i^-3 with
-    s_i = |ell_i(q)|^2 / |ell_i|^2, so they cover CP^1 without a
-    background rule.  A node that lands exactly on another line carries
-    chi_j = 0 and is dropped.
+    Chart j (`arrangement.hopf_charts`) carries the measure ds dphi / 2pi
+    (the normalized area of CP^1).  Its radial rule is Gauss-Jacobi for
+    s^e_j on the disc [0, s1] (weights divided by s^e_j), built here for
+    the exponents of this call, then the cached panels of `_panel_nodes`.
     """
     if not exponents:
         exponents = (0.0,)
-    phase = np.exp(2j * np.pi * np.arange(HOPF_ANGLES) / HOPF_ANGLES)
-    legendre = _gauss_jacobi(HOPF_LEGENDRE, 0.0)
-    norms2 = [line.coeff_norm() ** 2 for line in arr.lines]
-    xs, ys, ws = [], [], []
-    for j, ((p, n, s1), e) in enumerate(zip(_hopf_charts(arr), exponents)):
-        s, w = _radial_rule(float(e), s1, legendre)
-        inner = np.sqrt(1.0 - s)[:, None]
-        outer = np.sqrt(s)[:, None] * phase
-        x = (inner * p[0] + outer * n[0]).ravel()
-        y = (inner * p[1] + outer * n[1]).ravel()
-        w = np.repeat(w / HOPF_ANGLES, HOPF_ANGLES)
-        if len(arr.lines) > 1:
-            dist = np.array([np.abs(line.evaluate(x, y)) ** 2 / norm2
-                             for line, norm2 in zip(arr.lines, norms2)])
-            with np.errstate(divide="ignore"):
-                w = w / np.sum((dist[j] / dist) ** 3, axis=0)
-            keep = w > 0.0
-            x, y, w = x[keep], y[keep], w[keep]
-        xs.append(x)
-        ys.append(y)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+    phase, panels = _panel_nodes(arr, HOPF_LEGENDRE, HOPF_ANGLES)
+    parts = []
+    for j, ((chart, panel), e) in enumerate(zip(panels, exponents)):
+        sj, wj = _gauss_jacobi(HOPF_JACOBI, float(e))
+        parts.append(_chart_nodes(arr, j, chart, chart.s1 * sj,
+                                  chart.s1 * wj / sj ** float(e), phase))
+        parts.append(panel)
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -395,14 +375,15 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     being the weighted basis values scaled by the square roots of the node
     weights.
     """
-    line_powers, base, monos = _basis_layout(arr, m, quad.max_degree)
-    if not monos:
+    line_powers, base, cofactor_degrees = _basis_layout(arr, m,
+                                                        quad.max_degree)
+    if not cofactor_degrees:
         raise EmptyBasisError(
             f"no admissible element of degree <= {quad.max_degree} for m={m} "
             f"(minimal admissible degree is {min_admissible_degree(arr, m)})"
         )
-    degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
-    t_lo, t_hi = sum(monos[0]), sum(monos[-1])
+    # checked before any list is built: a huge cutoff costs nothing here
+    t_lo, t_hi = cofactor_degrees[0], cofactor_degrees[-1]
     if t_hi >= HOPF_ANGLES:
         raise DegreeCutoffError(
             f"degree cutoff {quad.max_degree} reaches cofactor degree {t_hi} "
@@ -410,7 +391,8 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
             f"below {HOPF_ANGLES} (max degree "
             f"{base + HOPF_ANGLES - 1} here)"
         )
-    cofactor_degrees = range(t_lo, t_hi + 1)
+    monos = _cofactor_monomials(cofactor_degrees)
+    degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
     x, y, w = _hopf_nodes(arr, _line_exponents(arr, line_powers, m))
     root_w = np.sqrt(w)
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .arrangement import (
+    MAX_RATIONAL_BITS,
     ArrangementError,
     WeightedArrangement,
     lct,
@@ -37,6 +39,10 @@ from .singularity import Relation, compare, lelong
 
 class UsageError(Exception):
     """Bad flags or unusable input files (exit code 2)."""
+
+
+# Most indices an --indices family may name; 10^5 entries take seconds.
+MAX_INDICES = 100_000
 
 
 _ENTRY_CSV_HEADER = ["m", "b", "p", "gamma", "delta", "nu"]
@@ -262,18 +268,33 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_index_cost(count: int, top_bits: int) -> None:
+    """Refuse an index family by its size, before any index is built."""
+    if count > MAX_INDICES:
+        raise UsageError(f"{count} indices exceed the cap of {MAX_INDICES}")
+    if top_bits > MAX_RATIONAL_BITS:
+        raise UsageError(f"an index of {top_bits} bits exceeds the cap of "
+                         f"{MAX_RATIONAL_BITS} bits")
+
+
 def _parse_indices(args) -> list[int] | None:
     if args.indices is None:
         return None
     spec = args.indices.strip().lower()
+    k_max = max(args.k_max, 0)
     if spec == "pow2":
-        return [2 ** k for k in range(1, args.k_max + 1)]
+        _check_index_cost(k_max, k_max + 1)
+        return [2 ** k for k in range(1, k_max + 1)]
     if spec in {"3k+2", "3k2"}:
-        return [3 * k + 2 for k in range(0, args.k_max + 1)]
+        _check_index_cost(k_max + 1, (3 * k_max + 2).bit_length())
+        return [3 * k + 2 for k in range(0, k_max + 1)]
     try:
-        return [int(v) for v in spec.split(",") if v.strip()]
+        indices = [int(v) for v in spec.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse --indices {args.indices!r}") from exc
+    _check_index_cost(len(indices), max((abs(v).bit_length() for v in indices),
+                                        default=0))
+    return indices
 
 
 def _cmd_sequence(args) -> int:
@@ -456,9 +477,12 @@ def _cmd_bergman(args) -> int:
     if scan_mode:
         if min(args.m1, args.m2) < 1:
             raise UsageError("indices must be >= 1")
-        curve, curve_name = _parse_curve(args.curve)
         if not (0 < args.tmin < args.tmax):
             raise UsageError("need 0 < tmin < tmax")
+        if args.tmin < sys.float_info.min or not math.isfinite(args.tmax):
+            raise UsageError(f"need {sys.float_info.min} <= tmin (no "
+                             "subnormal t) and a finite tmax")
+        curve, curve_name = _parse_curve(args.curve)
         if args.points < 2:
             raise UsageError("a slope needs --points >= 2")
         t = np.geomspace(args.tmin, args.tmax, args.points)

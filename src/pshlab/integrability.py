@@ -1,176 +1,141 @@
-"""Brute-force integrability of |f|^2 e^{-2c*phi} near the origin.
+"""Integrability of |f|^2 e^{-2c*phi} near the origin, by the Hopf reduction.
 
 This is the numerical oracle that cross-checks exact ideal membership
-without using any of the floor arithmetic: it estimates the integral over
-dyadic annuli 2^-(k+1) <= |z| <= 2^-k with a mesh graded geometrically
-toward each line (tube strata at normalized distance ~ 2^-s), and declares
-divergence when partial sums blow up across three mesh refinements or when
-the dyadic tails stop decaying.
+without using any of the floor arithmetic.  Three facts reduce it to one
+number per line point and homogeneous component:
 
-The tail-ratio certificate is needed because boundary cases are exactly
-log-divergent: their partial sums grow only linearly with depth, which no
-fixed growth factor can witness at finite cost, while the annulus/stratum
-construction makes the geometric tail ratio of such an integrand exactly 1.
+- Parseval: the circle average over z -> e^{i theta} z splits the integral
+  into those of the homogeneous components f_d, so f is integrable iff
+  every f_d is.
+- Homogeneity: the integral of |f_d|^2 e^{-2c phi} is the radial integral
+  of r^(2d + 3 - 2cT) (T the total mass), which converges iff d + 2 > cT,
+  times a sphere integral.
+- Hopf: the sphere integrand is constant on the Hopf fibres, so the sphere
+  integral is one over CP^1, singular only at the line points p_j.  In the
+  polar chart of p_j (`arrangement.hopf_charts`) the angular mean of the
+  integrand behaves like s^sigma_j, integrable iff the margin
+  kappa_j = sigma_j + 1 is positive.
+
+The slope sigma_j is measured, not derived: the log angular mean over
+ANGLES angles at s = spacing_j 2^-k for k in LEVELS (spacing_j the squared
+chordal distance to the nearest other line point), the slopes between
+consecutive levels, and one Richardson step, since each slope is
+sigma_j + O(s).  The change between the two Richardson values is the
+spread.  A component is divergent iff kappa <= max(20 spread, 1e-7); a
+spread above MAX_SPREAD makes the verdict undecided.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import WeightedArrangement
+from .arrangement import WeightedArrangement, hopf_charts
 from .gaussian import to_fraction
-from .polynomials import BivariatePolynomial, ZeroPolynomialError
+from .polynomials import BivariatePolynomial, HomogeneousForm, ZeroPolynomialError
 
-LN2 = math.log(2.0)
-GROWTH_FACTOR = 1e3
-TAIL_RATIO_THRESHOLD = 0.9
-REFINEMENT_LEVELS = ((8, 8), (16, 16), (24, 24))  # (annulus depth, stratum depth)
+ANGLES = 64
+LEVELS = (12, 14, 16, 18)
+MIN_RESOLUTION = 1e-7
+MAX_SPREAD = 1e-4
 
 
 @dataclass(frozen=True)
 class IntegrabilityVerdict:
     integrable: bool
-    log_growth: float          # log of partial-sum growth across refinements
-    radial_tail_ratio: float   # median dyadic ratio of annulus contributions
-    line_tail_ratios: tuple[float, ...]
-    log_partial_sums: tuple[float, ...]
+    radial_margin: Fraction          # min over components of d + 2 - c*T
+    line_margins: tuple[float, ...]  # per line, min over components of kappa
+    resolution: float                # largest tolerance a margin was held to
+    undecided: bool                  # some Richardson spread above MAX_SPREAD
 
 
-class _Mesh:
-    __slots__ = (
-        "logvol", "lx", "ly", "lnorm", "llines", "xs", "ys",
-        "stratum_level", "stratum_cols", "n_annuli",
-    )
-
-    def __init__(self, arr: WeightedArrangement, n_annuli: int, depth: int):
-        unit_x, unit_y, unit_logvol, level, line_id = _unit_annulus(arr, depth)
-        k = np.arange(n_annuli, dtype=float)[:, None]
-        scale = np.exp2(-k)
-        self.n_annuli = n_annuli
-        self.xs = unit_x[None, :] * scale
-        self.ys = unit_y[None, :] * scale
-        # Every stored log is for the scaled point: coordinates and line
-        # forms are homogeneous of degree 1, the volume element of degree 4.
-        self.lx = np.log(np.abs(unit_x))[None, :] - k * LN2
-        self.ly = np.log(np.abs(unit_y))[None, :] - k * LN2
-        self.lnorm = (
-            np.log(np.hypot(np.abs(unit_x), np.abs(unit_y)))[None, :] - k * LN2
-        )
-        self.llines = [
-            np.log(np.abs(line.evaluate(unit_x, unit_y)))[None, :] - k * LN2
-            for line in arr.lines
-        ]
-        self.logvol = unit_logvol[None, :] - 4.0 * k * LN2
-        self.stratum_level = level  # per unit column: 0 bulk, s >= 1 tube
-        self.stratum_cols = {
-            (i, s): np.flatnonzero((line_id == i) & (level == s))
-            for i in range(len(arr.lines))
-            for s in range(1, depth + 1)
-        }
+def _gauss(values: list[tuple[int, int]]) -> np.ndarray:
+    """Gaussian integers as complex floats divided by the largest part: huge
+    numerators do not overflow, and an exact 0 stays 0.0."""
+    top = max(max(abs(re), abs(im)) for re, im in values) or 1
+    return np.array([complex(re / top, im / top) for re, im in values])
 
 
-def _unit_annulus(arr: WeightedArrangement, depth: int):
-    """Mesh of the annulus 1/2 <= |w| <= 1 graded toward each line."""
-    pts_x: list[np.ndarray] = []
-    pts_y: list[np.ndarray] = []
-    logvol: list[np.ndarray] = []
-    level: list[np.ndarray] = []
-    line_id: list[np.ndarray] = []
-
-    # Bulk: polar product grid, dropping the line tubes handled by strata.
-    rho = np.linspace(0.5, 1.0, 4, endpoint=False) + 0.5 / 8
-    psi = np.linspace(0.0, math.pi / 2, 8, endpoint=False) + math.pi / 32
-    th1 = np.linspace(0.0, 2 * math.pi, 8, endpoint=False) + math.pi / 8
-    th2 = np.linspace(0.0, 2 * math.pi, 8, endpoint=False) + math.pi / 8
-    R, P, T1, T2 = np.meshgrid(rho, psi, th1, th2, indexing="ij")
-    wx = (R * np.cos(P) * np.exp(1j * T1)).ravel()
-    wy = (R * np.sin(P) * np.exp(1j * T2)).ravel()
-    wvol = (
-        R ** 3 * np.cos(P) * np.sin(P)
-    ).ravel() * (0.5 / 4) * (math.pi / 16) * (math.pi / 4) ** 2
-    norm = np.hypot(np.abs(wx), np.abs(wy))
-    keep = np.ones(wx.size, dtype=bool)
-    for line in arr.lines:
-        dist = np.abs(line.evaluate(wx, wy)) / (line.coeff_norm() * norm)
-        keep &= dist > 0.5
-    pts_x.append(wx[keep])
-    pts_y.append(wy[keep])
-    logvol.append(np.log(wvol[keep]))
-    level.append(np.zeros(int(keep.sum()), dtype=np.int32))
-    line_id.append(np.full(int(keep.sum()), -1, dtype=np.int32))
-
-    # Tube strata: points a*v + b*n at |b| ~ 2^-s around each line.
-    alpha = np.linspace(0.5, 1.0, 4, endpoint=False) + 0.5 / 8
-    tha = np.linspace(0.0, 2 * math.pi, 4, endpoint=False) + math.pi / 4
-    thb = np.linspace(0.0, 2 * math.pi, 4, endpoint=False) + math.pi / 4
-    for i, line in enumerate(arr.lines):
-        v = line.direction()
-        n = line.unit_normal()
-        for s in range(1, depth + 1):
-            b_lo, b_hi = 2.0 ** (-s - 1), 2.0 ** (-s)
-            beta = np.linspace(b_lo, b_hi, 2, endpoint=False) + (b_hi - b_lo) / 4
-            A, TA, B, TB = np.meshgrid(alpha, tha, beta, thb, indexing="ij")
-            a = (A * np.exp(1j * TA)).ravel()
-            b = (B * np.exp(1j * TB)).ravel()
-            sx = a * v[0] + b * n[0]
-            sy = a * v[1] + b * n[1]
-            svol = (A * B).ravel() * (0.5 / 4) * (math.pi / 2) \
-                * ((b_hi - b_lo) / 2) * (math.pi / 2)
-            pts_x.append(sx)
-            pts_y.append(sy)
-            logvol.append(np.log(svol))
-            level.append(np.full(sx.size, s, dtype=np.int32))
-            line_id.append(np.full(sx.size, i, dtype=np.int32))
-
-    return (
-        np.concatenate(pts_x),
-        np.concatenate(pts_y),
-        np.concatenate(logvol),
-        np.concatenate(level),
-        np.concatenate(line_id),
-    )
+def _chart_coefficients(form: HomogeneousForm, chart_x: HomogeneousForm,
+                        chart_y: HomogeneousForm) -> np.ndarray:
+    """g_k with form(chart_x, chart_y) = sum_k g_k alpha^(d-k) beta^k, for
+    linear forms chart_x, chart_y in (alpha, beta).  The substitution is
+    exact, so a zero of order k at the line point gives g_0 = ... =
+    g_(k-1) = 0.0 and no rounding floor hides how fast f_d vanishes."""
+    d = form.degree
+    total = [(0, 0)] * (d + 1)
+    for j, (cr, ci) in enumerate(form.coeffs):
+        if not (cr or ci):
+            continue
+        term = chart_x.power(d - j) * chart_y.power(j)
+        total = [(tr + cr * ur - ci * ui, ti + cr * ui + ci * ur)
+                 for (tr, ti), (ur, ui) in zip(total, term.coeffs)]
+    return _gauss(total)
 
 
-@functools.lru_cache(maxsize=8)
-def _mesh_for(arr: WeightedArrangement, n_annuli: int, depth: int) -> _Mesh:
-    return _Mesh(arr, n_annuli, depth)
+def _charts(arr: WeightedArrangement, c: float) -> list[tuple]:
+    """Per line point, what every component shares: log s at LEVELS,
+    log alpha and z = beta / alpha on the (level, angle) grid, the chart
+    coordinates as linear forms in (alpha, beta), and the weight's log
+    sum_i -2 c a_i log|ell_i(q)|.
+
+    Chart j is q = alpha v + beta n with v = (b, -a), n = (conj a,
+    conj b) from the Gaussian-integer line form a x + b y, so that every
+    line form is alpha ell_i(v) + beta ell_i(n) with exact coefficients.
+    Constant factors (|v|, |n|, the scale of each form) do not move a slope.
+    """
+    forms = [line.integer_form.coeffs for line in arr.lines]
+    weighted = [(form, 2.0 * c * float(a))
+                for form, a in zip(forms, arr.coeffs) if a]
+    powers = np.array([power for _, power in weighted])
+    phase = np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
+    out = []
+    for chart, ((ar, ai), (br, bi)) in zip(hopf_charts(arr), forms):
+        spacing = chart.spacing
+        log_s = (math.log(spacing.numerator) - math.log(spacing.denominator)
+                 - math.log(2.0) * np.array(LEVELS, dtype=float))
+        s = np.exp(log_s)[:, None]
+        log_alpha = 0.5 * np.log1p(-s)
+        z = np.sqrt(s / (1.0 - s)) * phase
+        # ell_i(v) = c b - d a and ell_i(n) = c conj(a) + d conj(b) for
+        # each weighted line c x + d y, one row each
+        values = np.array([_gauss([
+            (cr * br - ci * bi - dr * ar + di * ai,
+             cr * bi + ci * br - dr * ai - di * ar),
+            (cr * ar + ci * ai + dr * br + di * bi,
+             ci * ar - cr * ai + di * br - dr * bi)])
+            for ((cr, ci), (dr, di)), _ in weighted]).reshape(-1, 2, 1, 1)
+        log_weight = -np.sum(powers[:, None, None] * (log_alpha + np.log(
+            np.abs(values[:, 0] + values[:, 1] * z))), axis=0)
+        out.append((log_s, log_alpha, z, log_weight,
+                    HomogeneousForm(1, ((br, bi), (ar, -ai))),
+                    HomogeneousForm(1, ((-ar, -ai), (br, -bi)))))
+    return out
 
 
-@functools.lru_cache(maxsize=8)
-def _weight_exponent(arr: WeightedArrangement, n_annuli: int, depth: int):
-    """Per-point value of phi (so that -2c * this is the weight log)."""
-    mesh = _mesh_for(arr, n_annuli, depth)
-    phi = np.zeros_like(mesh.logvol)
-    for a, ll in zip(arr.coeffs, mesh.llines):
-        if a != 0:
-            phi = phi + float(a) * ll
-    if arr.point_mass != 0:
-        phi = phi + float(arr.point_mass) * mesh.lnorm
-    return phi
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return float("-inf")
-    top = float(np.max(values))
-    if not math.isfinite(top):
-        return float("-inf") if top < 0 else top
-    return top + math.log(float(np.sum(np.exp(values - top))))
-
-
-def _tail_ratio(log_sums: list[float], window: int = 6) -> float:
-    ratios = [
-        b - a for a, b in zip(log_sums, log_sums[1:])
-        if math.isfinite(a) and math.isfinite(b)
-    ]
-    if len(ratios) < 3:
-        return 0.0
-    tail = sorted(ratios[-window:])
-    return math.exp(tail[len(tail) // 2])
+def _line_margin(form: HomogeneousForm, chart: tuple) -> tuple[float, float]:
+    """(kappa-hat, spread) of one homogeneous component at one line point:
+    the slopes of the log angular mean between levels (s quartered at each
+    step), then Richardson's (4 next - previous) / 3."""
+    log_s, log_alpha, z, log_weight, chart_x, chart_y = chart
+    g = _chart_coefficients(form, chart_x, chart_y)
+    # f_d = alpha^d z^k sum_i g_(k+i) z^i; z^k in logs cannot underflow
+    k = int(np.flatnonzero(g)[0])
+    g = g[k:]
+    poly = np.full_like(z, g[-1])
+    for coeff in g[-2::-1]:
+        poly = poly * z + coeff
+    log_g = 2.0 * (form.degree * log_alpha + k * np.log(np.abs(z))
+                   + np.log(np.abs(poly))) + log_weight
+    top = log_g.max(axis=1, keepdims=True)
+    log_mean = top[:, 0] + np.log(np.mean(np.exp(log_g - top), axis=1))
+    slopes = np.diff(log_mean) / np.diff(log_s)
+    richardson = (4.0 * slopes[1:] - slopes[:-1]) / 3.0
+    return (float(richardson[-1]) + 1.0,
+            float(abs(richardson[-1] - richardson[-2])))
 
 
 def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
@@ -181,46 +146,21 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     c = to_fraction(c)
     if c < 0:
         raise ValueError("weight multiple c must be nonnegative")
-    n_annuli, depth = REFINEMENT_LEVELS[-1]
-    mesh = _mesh_for(arr, n_annuli, depth)
-    phi = _weight_exponent(arr, n_annuli, depth)
-
-    terms = list(f.terms())
-    if len(terms) == 1:
-        (a_exp, b_exp), coeff = terms[0]
-        log_f2 = 2.0 * (a_exp * mesh.lx + b_exp * mesh.ly) \
-            + math.log(float(coeff.abs2()))
-    else:
-        with np.errstate(divide="ignore"):
-            log_f2 = 2.0 * np.log(np.abs(f.evaluate(mesh.xs, mesh.ys)))
-    v = log_f2 - 2.0 * float(c) * phi + mesh.logvol
-
-    level_sums = []
-    for k_depth, s_depth in REFINEMENT_LEVELS:
-        cols = mesh.stratum_level <= s_depth
-        level_sums.append(_logsumexp(v[:k_depth, cols]))
-    log_growth = level_sums[-1] - level_sums[0]
-
-    radial = [_logsumexp(v[k, :]) for k in range(mesh.n_annuli)]
-    radial_ratio = _tail_ratio(radial)
-
-    line_ratios = []
-    for i in range(len(arr.lines)):
-        sums = [
-            _logsumexp(v[:, mesh.stratum_cols[(i, s)]])
-            for s in range(1, depth + 1)
-        ]
-        line_ratios.append(_tail_ratio(sums))
-
-    divergent = (
-        (math.isfinite(log_growth) and log_growth > math.log(GROWTH_FACTOR))
-        or radial_ratio >= TAIL_RATIO_THRESHOLD
-        or any(r >= TAIL_RATIO_THRESHOLD for r in line_ratios)
-    )
+    components = f.homogeneous_components()
+    radial = min(form.degree for form in components) + 2 - c * arr.total_mass
+    # a log of 0 (a chart grid point on a zero) yields a non-finite margin,
+    # which fails every comparison below: divergent and undecided
+    with np.errstate(divide="ignore", invalid="ignore"):
+        charts = _charts(arr, float(c))
+        per_line = [[_line_margin(form, chart) for form in components]
+                    for chart in charts]
+    checks = [(kappa, spread, max(20.0 * spread, MIN_RESOLUTION))
+              for found in per_line for kappa, spread in found]
     return IntegrabilityVerdict(
-        integrable=not divergent,
-        log_growth=log_growth,
-        radial_tail_ratio=radial_ratio,
-        line_tail_ratios=tuple(line_ratios),
-        log_partial_sums=tuple(level_sums),
+        integrable=radial > 0 and all(kappa > tol for kappa, _, tol in checks),
+        radial_margin=radial,
+        line_margins=tuple(min(kappa for kappa, _ in found)
+                           for found in per_line),
+        resolution=max([MIN_RESOLUTION] + [tol for *_, tol in checks]),
+        undecided=not all(spread <= MAX_SPREAD for _, spread, _ in checks),
     )

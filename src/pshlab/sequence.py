@@ -109,12 +109,15 @@ def pattern_violations(arr: WeightedArrangement, k_max: int) -> list[PatternChec
     out = []
     for k in range(1, k_max + 1):
         lo, hi = entry(arr, 3 * k), entry(arr, 3 * k + 2)
+        relation = compare(hi.cls, lo.cls).relation
         out.append(
             PatternCheck(
                 k=k,
                 pair=(3 * k, 3 * k + 2),
-                forward_fails=not more_singular_or_equal(hi.cls, lo.cls),
-                reverse_holds=more_singular_or_equal(lo.cls, hi.cls),
+                forward_fails=relation in (Relation.SECOND_MORE_SINGULAR,
+                                           Relation.INCOMPARABLE),
+                reverse_holds=relation in (Relation.SECOND_MORE_SINGULAR,
+                                           Relation.EQUIVALENT),
             )
         )
     return out

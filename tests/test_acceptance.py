@@ -256,7 +256,7 @@ def test_criterion_10_membership_vs_integrability():
     ok = ok and elapsed < 60.0
     if mismatches:
         print("mismatches:", mismatches[:10])
-    _verdict(10, ok, "membership agrees with the graded-mesh integrability "
+    _verdict(10, ok, "membership agrees with the Hopf-reduction integrability "
              "oracle on 420 cases", elapsed)
 
 

@@ -356,8 +356,34 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
     result = gram_matrix(arr, m, quad)
     _doubled_nodes(monkeypatch)
     finer = gram_matrix(arr, m, quad)
-    assert finer.nodes > result.nodes
+    # every count doubled: twice the angles times twice the radial nodes,
+    # so the cached panels must have been rebuilt for the new counts
+    assert finer.nodes == 4 * result.nodes
     assert _max_relative(result.gram, finer.gram) < 1e-6
+
+
+def test_node_set_shared_across_m():
+    # the arrangement-only part of the rule (charts, panels, Shepard
+    # weights) is built once; Grams at m = 1, 3, 8 equal, bit for bit,
+    # those from a fresh node build
+    quad = QuadratureSpec(20, 10_000, 1)
+    bergman._panel_nodes.cache_clear()
+    shared = [gram_matrix(THEOREM1, m, quad) for m in (1, 3, 8)]
+    assert bergman._panel_nodes.cache_info().hits == 2
+    for m, result in zip((1, 3, 8), shared):
+        bergman._panel_nodes.cache_clear()
+        fresh = gram_matrix(THEOREM1, m, quad)
+        assert fresh.nodes == result.nodes
+        assert np.array_equal(fresh.gram, result.gram)
+
+
+def test_huge_degree_cutoff_refused_before_allocating(monkeypatch):
+    def no_list(degrees):
+        raise AssertionError("monomial list built")
+
+    monkeypatch.setattr(bergman, "_cofactor_monomials", no_list)
+    with pytest.raises(DegreeCutoffError, match="cofactor degree"):
+        gram_matrix(THEOREM1, 3, QuadratureSpec(10 ** 12, 10_000, 1))
 
 
 def test_degree_cutoff_beyond_the_rule_raises():

@@ -315,6 +315,46 @@ def test_bergman_degenerate_input_exits_2(flags, capsys):
     assert err.startswith("error:")
 
 
+def test_bergman_subnormal_t_is_one_error_line():
+    # subnormal t used to send numpy RuntimeWarnings to stderr before the
+    # error line; the range is now refused before any numpy work
+    proc = run_cli(["bergman", "--m1", "3", "--m2", "4", "--tmin", "1e-320",
+                    "--tmax", "1e-300"], timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_bergman_huge_degree_cutoff_exits_2(monkeypatch, capsys):
+    # the cofactor degree is compared with its cap before the monomial
+    # list (about 5e15 tuples here) could be built
+    from pshlab import bergman
+
+    def no_list(degrees):
+        raise AssertionError("monomial list built")
+
+    monkeypatch.setattr(bergman, "_cofactor_monomials", no_list)
+    rc = main(["bergman", "--preset", "theorem1", "--m", "3",
+               "--max-degree", "100000000"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "cofactor degree" in err
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--indices", "pow2", "--k-max", "100000"], "bits"),
+    (["--indices", "3k+2", "--k-max", "1000000000"], "indices exceed"),
+    (["--indices", "3," + str(2 ** 1200)], "bits"),
+], ids=["pow2-bits", "3k+2-count", "list-bits"])
+def test_sequence_index_family_cost_guard(flags, reason, capsys):
+    # refused from the family's size before any index or entry is built
+    rc = main(["sequence", "--preset", "theorem1", *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and reason in err
+
+
 _EXACT_COMMANDS = [
     ["lct", "--preset", "theorem1"],
     ["compare", "--preset", "theorem1", "--m1", "4", "--m2", "3"],

@@ -1,8 +1,12 @@
+import importlib.util
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pshlab.arrangement import new_arrangement, preset
+from pshlab.gaussian import GaussianRational
 from pshlab.integrability import integrability_estimate
 from pshlab.multiplier_ideal import contains, ideal_of
 from pshlab.polynomials import BivariatePolynomial as P
@@ -17,10 +21,10 @@ def test_radial_threshold_of_point_mass():
     point = preset("point")
     assert integrability_estimate(point, P.one(), Fraction(7, 4)).integrable
     assert not integrability_estimate(point, P.one(), Fraction(9, 4)).integrable
-    # boundary c = 2 is log-divergent: caught by the tail-ratio certificate
+    # boundary c = 2 is log-divergent: the exact radial margin d + 2 - cT is 0
     verdict = integrability_estimate(point, P.one(), 2)
     assert not verdict.integrable
-    assert verdict.radial_tail_ratio == pytest.approx(1.0, abs=1e-9)
+    assert verdict.radial_margin == 0
 
 
 def test_log_divergence_along_a_line():
@@ -29,13 +33,19 @@ def test_log_divergence_along_a_line():
     f = P({(3, 2): 1, (2, 3): 1})
     verdict = integrability_estimate(THEOREM1, f, 3)
     assert not verdict.integrable
-    assert verdict.line_tail_ratios[2] == pytest.approx(1.0, abs=1e-6)
+    assert abs(verdict.line_margins[2]) <= verdict.resolution
+    # order 2 along x and y: margin 2 - 3 * 2/3 + 1 = 1
+    assert verdict.line_margins[:2] == pytest.approx((1.0, 1.0), abs=1e-6)
 
 
 def test_power_divergence_grows_past_threshold():
+    # clearly past the threshold, the margins sit far below 0
     verdict = integrability_estimate(preset("point"), P.one(), 3)
     assert not verdict.integrable
-    assert verdict.log_growth > 6.9  # grew by more than 10^3
+    assert verdict.radial_margin == -1
+    verdict = integrability_estimate(THEOREM1, P.one(), 3)
+    assert not verdict.integrable
+    assert verdict.line_margins == pytest.approx((-1.0,) * 3, abs=1e-6)
 
 
 def test_matches_membership_on_spot_checks():
@@ -61,3 +71,88 @@ def test_input_validation():
         integrability_estimate(THEOREM1, P.zero(), 1)
     with pytest.raises(ValueError):
         integrability_estimate(THEOREM1, P.one(), -1)
+
+
+def test_nan_fault_case_is_decided():
+    # lines x, x+y, 2x+y of weight 1/2 at f = 1, c = 3/2: c * T = 9/4 >= 2,
+    # so divergent; a tube mesh once put nodes on x+y and read NaN as
+    # integrable
+    arr = new_arrangement([(1, 0), (1, 1), (2, 1)], [Fraction(1, 2)] * 3)
+    c = Fraction(3, 2)
+    verdict = integrability_estimate(arr, P.one(), c)
+    assert not contains(arr, ideal_of(arr, c), P.one())
+    assert not verdict.integrable and not verdict.undecided
+    assert verdict.radial_margin == Fraction(-1, 4)
+    assert verdict.line_margins == pytest.approx((0.25,) * 3, abs=1e-6)
+    assert all(math.isfinite(k) for k in verdict.line_margins)
+
+
+@pytest.mark.parametrize("name, c, integrable", [
+    ("smooth", Fraction(15, 16), True), ("smooth", Fraction(31, 32), True),
+    ("smooth", Fraction(255, 256), True), ("smooth", Fraction(1), False),
+    ("point", Fraction(31, 16), True), ("point", Fraction(2), False),
+])
+def test_near_threshold_cases(name, c, integrable):
+    # margins down to 1/256 are decided; the tail-ratio oracle called the
+    # first three smooth cases and point at 31/16 divergent
+    arr = preset(name)
+    verdict = integrability_estimate(arr, P.one(), c)
+    assert verdict.integrable is integrable
+    assert verdict.integrable == contains(arr, ideal_of(arr, c), P.one())
+    assert not verdict.undecided
+    if name == "smooth":
+        assert verdict.line_margins[0] == pytest.approx(float(1 - c), abs=1e-9)
+
+
+def test_zero_of_high_order():
+    # x^200 vanishes to order 200 along x = 0: s^100 underflows a double at
+    # the sampled scales, yet the margin 200 - c + 1 is measured
+    smooth = preset("smooth")
+    for c, integrable in ((100, True), (200, True), (201, False)):
+        verdict = integrability_estimate(smooth, P.monomial(200, 0), c)
+        assert verdict.integrable is integrable and not verdict.undecided
+        assert verdict.line_margins[0] == pytest.approx(201 - c, abs=1e-6)
+
+
+def test_resolution():
+    # margins 1e-3 .. 1e-7 on one line are resolved; 1e-9 lies below the
+    # resolution 1e-7 and reads as divergent
+    smooth = preset("smooth")
+    for k in (3, 5, 7):
+        c = 1 - Fraction(1, 10 ** k)
+        assert integrability_estimate(smooth, P.one(), c).integrable
+    verdict = integrability_estimate(smooth, P.one(), 1 - Fraction(1, 10 ** 9))
+    assert not verdict.integrable
+    assert verdict.resolution == 1e-7
+
+
+def test_components_are_decided_separately():
+    # Parseval: x + y^3 fails along x = 0 at c = 1 through its y^3 part,
+    # while x + x*y passes, each as contains says
+    smooth = preset("smooth")
+    ideal = ideal_of(smooth, 1)
+    for f in (X + Y ** 3, X + X * Y, X ** 2 + Y ** 5):
+        verdict = integrability_estimate(smooth, f, 1)
+        assert verdict.integrable == contains(smooth, ideal, f)
+    assert not integrability_estimate(smooth, X + Y ** 3, 1).integrable
+
+
+def test_zero_near_a_line_point_is_undecided():
+    # f vanishes at squared chordal distance 2.7e-5 from the point of
+    # x + 3i y, inside the sampled scales, so the slopes have not settled:
+    # reported, not guessed
+    arr = new_arrangement([(1, GaussianRational(0, -2)),
+                           (1, GaussianRational(0, 3))], ["5/4", "7/4"])
+    f = P({(3, 0): 1, (1, 2): 7, (0, 3): GaussianRational(0, -5)})
+    verdict = integrability_estimate(arr, f, Fraction(11, 3))
+    assert verdict.undecided
+    assert verdict.resolution > 1e-4
+
+
+def test_sweep_smoke():
+    path = Path(__file__).resolve().parents[1] / "tools" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    wrong, _undecided = sweep.sweep(100, seed=1)
+    assert wrong == []

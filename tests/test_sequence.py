@@ -108,6 +108,22 @@ def test_pattern_violations():
         assert hi.cls.gamma[0] < lo.cls.gamma[0]
 
 
+def test_pattern_check_output_is_pinned():
+    # one compare(hi, lo) per k gives both flags; the dicts and flags were
+    # taken from the two-check version (more_singular_or_equal each way)
+    assert [c.to_dict() for c in pattern_violations(THEOREM1, 10)] == [
+        {"k": k, "pair": [3 * k, 3 * k + 2], "forward_fails": True,
+         "reverse_holds": True} for k in range(1, 11)]
+    mixed = new_arrangement([(1, 0), (0, 1)], ["1/2", "3/4"], "1/3")
+    assert [(c.forward_fails, c.reverse_holds)
+            for c in pattern_violations(mixed, 10)] == [
+        (True, False), (False, False), (False, False), (True, True),
+        (True, False), (False, False), (True, False), (True, True),
+        (True, False), (True, False)]
+    assert all((c.forward_fails, c.reverse_holds) == (False, True)
+               for c in pattern_violations(preset("smooth"), 10))
+
+
 def test_check_subsequence_pow2():
     verdict = check_subsequence(THEOREM1, [2 ** k for k in range(1, 11)])
     assert verdict.decreasing and verdict.strictly
