@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .gaussian import GaussianRational, ONE, to_fraction
-from .polynomials import HomogeneousForm
+from .gaussian import GaussianRational, ONE, to_fraction, unit_complex
+from .polynomials import Gaussian, HomogeneousForm
 
 
 class ArrangementError(ValueError):
@@ -65,25 +65,15 @@ class Line:
         """The form cx*x + cy*y with Gaussian-integer numerators."""
         return HomogeneousForm.of(1, {0: self.cx, 1: self.cy})
 
+    @functools.cached_property
+    def unit(self) -> tuple[complex, complex]:
+        """The coefficients divided by their Hermitian norm, as floats; no
+        coefficient overflows however large it is."""
+        return tuple(unit_complex(self.integer_form.coeffs))
+
     def evaluate(self, x, y):
         """Numeric value of the form at complex scalars or arrays."""
         return complex(self.cx) * x + complex(self.cy) * y
-
-    def coeff_norm(self) -> float:
-        """Hermitian norm of the coefficient vector."""
-        return math.sqrt(float(self.cx.abs2() + self.cy.abs2()))
-
-    def direction(self) -> tuple[complex, complex]:
-        """A unit vector spanning the line."""
-        v = (complex(self.cy), -complex(self.cx))
-        n = math.hypot(abs(v[0]), abs(v[1]))
-        return (v[0] / n, v[1] / n)
-
-    def unit_normal(self) -> tuple[complex, complex]:
-        """Unit vector Hermitian-orthogonal to the line direction."""
-        w = (complex(self.cx).conjugate(), complex(self.cy).conjugate())
-        n = math.hypot(abs(w[0]), abs(w[1]))
-        return (w[0] / n, w[1] / n)
 
     def label(self) -> str:
         if self.cx == ONE and self.cy.is_zero:
@@ -154,19 +144,6 @@ def new_arrangement(lines, coeffs, point_mass=0) -> WeightedArrangement:
     )
 
 
-def chordal2(a: Line, b: Line) -> Fraction:
-    """Squared chordal distance |<p_a, n_b>|^2 = 1 - |<p_a, p_b>|^2 of the
-    points of two lines on CP^1, exact (on the Gaussian-integer forms), so
-    that close lines do not cancel to 0 in floating point."""
-    (ar, ai), (br, bi) = a.integer_form.coeffs
-    (cr, ci), (dr, di) = b.integer_form.coeffs
-    re = ar * dr - ai * di - br * cr + bi * ci
-    im = ar * di + ai * dr - br * ci - bi * cr
-    return Fraction(re * re + im * im,
-                    (ar * ar + ai * ai + br * br + bi * bi)
-                    * (cr * cr + ci * ci + dr * dr + di * di))
-
-
 # Smallest Gauss-Jacobi disc of a chart: line points closer than about
 # 2^-31 in chordal distance are barely told apart in double precision.
 HOPF_MIN_S1 = 2.0 ** -64
@@ -178,27 +155,60 @@ class HopfChart:
     around a line point p (unit normal n), where |ell(q)| = |ell| sqrt(s).
     `spacing` is the squared chordal distance to the nearest other line
     point (1 without one); the disc s <= s1, s1 the largest power of 2 in
-    [HOPF_MIN_S1, spacing / 4], holds no other line point."""
+    [HOPF_MIN_S1, spacing / 4], holds no other line point.  `pairs[i]` is
+    (ell_i(p), ell_i(n)) for the unit-normalized form of line i, so that
+    ell_i(q) = sqrt(1-s) pairs[i][0] + sqrt(s) e^{i theta} pairs[i][1] has
+    modulus at most 1; pairs[i][0] is exactly 0 on the chart's own line.
+    `chart_x`, `chart_y`: the coordinates of alpha v + beta n, for v, n
+    the unnormalized p, n, as exact linear forms in (alpha, beta)."""
 
     point: tuple[complex, complex]
     normal: tuple[complex, complex]
     spacing: Fraction
     s1: float
+    pairs: tuple[tuple[complex, complex], ...]
+    chart_x: HomogeneousForm
+    chart_y: HomogeneousForm
 
 
-def hopf_charts(arr: WeightedArrangement) -> list[HopfChart]:
-    """One polar chart per line, or one around (1, 0) without lines; the
-    Bergman Gram and the integrability oracle share them."""
-    if not arr.lines:
-        return [HopfChart((1.0 + 0j, 0j), (0j, 1.0 + 0j), Fraction(1), 0.25)]
-    charts = []
-    for line in arr.lines:
-        near = min((chordal2(line, other) for other in arr.lines
-                    if other != line), default=Fraction(1))
-        _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
-        charts.append(HopfChart(line.direction(), line.unit_normal(), near,
-                                2.0 ** (exp - 1)))
-    return charts
+def _chart(lines: tuple[Line, ...], a: Gaussian, b: Gaussian) -> HopfChart:
+    """The chart around the point of the line a x + b y (Gaussian-integer
+    coefficients), with v = (b, -a) and n = (conj a, conj b).  On
+    alpha v + beta n, a line c x + d y (its Gaussian-integer form) is
+    alpha ell(v) + beta ell(n) with ell(v) = c b - d a and ell(n) =
+    c conj(a) + d conj(b), exact; its own line has ell(v) = 0.  The
+    spacing comes from the exact squared chordal distances
+    |ell(v)|^2 / (|ell(v)|^2 + |ell(n)|^2): close lines do not cancel."""
+    (ar, ai), (br, bi) = a, b
+    values = []
+    for line in lines:
+        (cr, ci), (dr, di) = line.integer_form.coeffs
+        values.append(((cr * br - ci * bi - dr * ar + di * ai,
+                        cr * bi + ci * br - dr * ai - di * ar),
+                       (cr * ar + ci * ai + dr * br + di * bi,
+                        ci * ar - cr * ai + di * br - dr * bi)))
+    near = min((Fraction(pr * pr + pi * pi,
+                         pr * pr + pi * pi + qr * qr + qi * qi)
+                for (pr, pi), (qr, qi) in values if pr or pi),
+               default=Fraction(1))
+    _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
+    v, n = ((br, bi), (-ar, -ai)), ((ar, -ai), (br, -bi))
+    return HopfChart(
+        point=tuple(unit_complex(v)), normal=tuple(unit_complex(n)),
+        spacing=near, s1=2.0 ** (exp - 1),
+        pairs=tuple(tuple(unit_complex(pair)) for pair in values),
+        chart_x=HomogeneousForm(1, (v[0], n[0])),
+        chart_y=HomogeneousForm(1, (v[1], n[1])))
+
+
+@functools.lru_cache(maxsize=16)
+def hopf_charts(arr: WeightedArrangement) -> tuple[HopfChart, ...]:
+    """One polar chart per line, or one around (1, 0) (the point of the
+    line y) without lines: the only place where a line is put into chart
+    coordinates.  The Bergman Gram, the integrability oracle and the
+    boundedness probe read them; built once per arrangement."""
+    forms = [line.integer_form.coeffs for line in arr.lines]
+    return tuple(_chart(arr.lines, a, b) for a, b in forms or [((0, 0), (1, 0))])
 
 
 def phi_value(arr: WeightedArrangement, point: tuple[complex, complex]) -> float:

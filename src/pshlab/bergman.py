@@ -158,14 +158,15 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 + x) / 2.0, vectors[0] ** 2 / (alpha + 1.0)
 
 
-def _chart_nodes(arr: WeightedArrangement, j: int, chart: HopfChart,
-                 s: np.ndarray, w: np.ndarray, phase: np.ndarray
+def _chart_nodes(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
+                 phase: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes (x, y) and weights of chart j at the radial nodes s with plain
     weights w, times the trapezoid angles `phase`.
 
     The charts are joined by the Shepard partition of unity
-    chi_j = s_j^-3 / sum_i s_i^-3 with s_i = |ell_i(q)|^2 / |ell_i|^2, so
+    chi_j = s_j^-3 / sum_i s_i^-3 with s_i = |ell_i(q)|^2 / |ell_i|^2,
+    read off the chart's unit-normalized pairs on its (s, angle) grid, so
     they cover CP^1 without a background rule.  A node that lands exactly
     on another line carries chi_j = 0 and is dropped.
     """
@@ -175,9 +176,9 @@ def _chart_nodes(arr: WeightedArrangement, j: int, chart: HopfChart,
     x = (inner * p[0] + outer * n[0]).ravel()
     y = (inner * p[1] + outer * n[1]).ravel()
     w = np.repeat(w / len(phase), len(phase))
-    if len(arr.lines) > 1:
-        dist = np.array([np.abs(line.evaluate(x, y)) ** 2
-                         / line.coeff_norm() ** 2 for line in arr.lines])
+    if len(chart.pairs) > 1:
+        dist = np.array([np.abs(inner * a + outer * b).ravel() ** 2
+                         for a, b in chart.pairs])
         with np.errstate(divide="ignore"):
             w = w / np.sum((dist[j] / dist) ** 3, axis=0)
         keep = w > 0.0
@@ -202,8 +203,7 @@ def _panel_nodes(arr: WeightedArrangement, legendre: int, angles: int):
             weights.append(edge * wl)
             edge *= 2.0
         charts.append((chart, _chart_nodes(
-            arr, j, chart, np.concatenate(nodes), np.concatenate(weights),
-            phase)))
+            j, chart, np.concatenate(nodes), np.concatenate(weights), phase)))
     return phase, charts
 
 
@@ -223,7 +223,7 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
     parts = []
     for j, ((chart, panel), e) in enumerate(zip(panels, exponents)):
         sj, wj = _gauss_jacobi(HOPF_JACOBI, float(e))
-        parts.append(_chart_nodes(arr, j, chart, chart.s1 * sj,
+        parts.append(_chart_nodes(j, chart, chart.s1 * sj,
                                   chart.s1 * wj / sj ** float(e), phase))
         parts.append(panel)
     return tuple(np.concatenate(part) for part in zip(*parts))

@@ -41,7 +41,8 @@ class UsageError(Exception):
     """Bad flags or unusable input files (exit code 2)."""
 
 
-# Most indices an --indices family may name; 10^5 entries take seconds.
+# Most indices an --indices family or an --m-max range may name; 10^5
+# entries take seconds.
 MAX_INDICES = 100_000
 
 
@@ -230,6 +231,7 @@ def _cmd_analyze(args) -> int:
     if args.m_max is not None:
         if args.m_max < 1:
             raise UsageError("--m-max must be >= 1")
+        _check_index_cost(args.m_max, args.m_max.bit_length())
         ms = list(range(1, args.m_max + 1))
     else:
         ms = args.m if args.m else [1]
@@ -269,7 +271,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _check_index_cost(count: int, top_bits: int) -> None:
-    """Refuse an index family by its size, before any index is built."""
+    """Refuse an index family (or an --m-max range) by its size, before
+    any index is built."""
     if count > MAX_INDICES:
         raise UsageError(f"{count} indices exceed the cap of {MAX_INDICES}")
     if top_bits > MAX_RATIONAL_BITS:
@@ -301,6 +304,7 @@ def _cmd_sequence(args) -> int:
     arr = _resolve_arrangement(args)
     if args.m_max < 2:
         raise UsageError("--m-max must be >= 2")
+    _check_index_cost(args.m_max, args.m_max.bit_length())
     indices = _parse_indices(args)
     try:
         report = monotonicity_report(arr, args.m_max, indices)
@@ -573,13 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArrangementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ArrangementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

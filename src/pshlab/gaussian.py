@@ -7,8 +7,23 @@ multiplicity counts free of floating error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+def scaled_complex(values) -> list[complex]:
+    """Gaussian integers (re, im) as complex floats divided by the largest
+    part: huge numerators do not overflow, and an exact 0 stays 0.0."""
+    top = max(max(abs(re), abs(im)) for re, im in values) or 1
+    return [complex(re / top, im / top) for re, im in values]
+
+
+def unit_complex(values) -> list[complex]:
+    """A nonzero Gaussian-integer vector as a complex unit vector."""
+    scaled = scaled_complex(values)
+    norm = math.hypot(*map(abs, scaled))
+    return [z / norm for z in scaled]
 
 
 def to_fraction(value) -> Fraction:

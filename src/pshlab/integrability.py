@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arrangement import WeightedArrangement, hopf_charts
-from .gaussian import to_fraction
+from .gaussian import scaled_complex, to_fraction
 from .polynomials import BivariatePolynomial, HomogeneousForm, ZeroPolynomialError
 
 ANGLES = 64
@@ -52,13 +52,6 @@ class IntegrabilityVerdict:
     undecided: bool                  # some Richardson spread above MAX_SPREAD
 
 
-def _gauss(values: list[tuple[int, int]]) -> np.ndarray:
-    """Gaussian integers as complex floats divided by the largest part: huge
-    numerators do not overflow, and an exact 0 stays 0.0."""
-    top = max(max(abs(re), abs(im)) for re, im in values) or 1
-    return np.array([complex(re / top, im / top) for re, im in values])
-
-
 def _chart_coefficients(form: HomogeneousForm, chart_x: HomogeneousForm,
                         chart_y: HomogeneousForm) -> np.ndarray:
     """g_k with form(chart_x, chart_y) = sum_k g_k alpha^(d-k) beta^k, for
@@ -73,7 +66,7 @@ def _chart_coefficients(form: HomogeneousForm, chart_x: HomogeneousForm,
         term = chart_x.power(d - j) * chart_y.power(j)
         total = [(tr + cr * ur - ci * ui, ti + cr * ui + ci * ur)
                  for (tr, ti), (ur, ui) in zip(total, term.coeffs)]
-    return _gauss(total)
+    return np.array(scaled_complex(total))
 
 
 def _charts(arr: WeightedArrangement, c: float) -> list[tuple]:
@@ -82,37 +75,28 @@ def _charts(arr: WeightedArrangement, c: float) -> list[tuple]:
     coordinates as linear forms in (alpha, beta), and the weight's log
     sum_i -2 c a_i log|ell_i(q)|.
 
-    Chart j is q = alpha v + beta n with v = (b, -a), n = (conj a,
-    conj b) from the Gaussian-integer line form a x + b y, so that every
-    line form is alpha ell_i(v) + beta ell_i(n) with exact coefficients.
-    Constant factors (|v|, |n|, the scale of each form) do not move a slope.
+    Chart j (`arrangement.hopf_charts`) is q = alpha v + beta n, in which
+    every line form is alpha ell_i(v) + beta ell_i(n); the weight reads the
+    chart's unit-normalized pairs.  Constant factors (|v|, |n|, the scale
+    of each form) do not move a slope.
     """
-    forms = [line.integer_form.coeffs for line in arr.lines]
-    weighted = [(form, 2.0 * c * float(a))
-                for form, a in zip(forms, arr.coeffs) if a]
+    weighted = [(i, 2.0 * c * float(a)) for i, a in enumerate(arr.coeffs) if a]
     powers = np.array([power for _, power in weighted])
     phase = np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
     out = []
-    for chart, ((ar, ai), (br, bi)) in zip(hopf_charts(arr), forms):
+    for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
         spacing = chart.spacing
         log_s = (math.log(spacing.numerator) - math.log(spacing.denominator)
                  - math.log(2.0) * np.array(LEVELS, dtype=float))
         s = np.exp(log_s)[:, None]
         log_alpha = 0.5 * np.log1p(-s)
         z = np.sqrt(s / (1.0 - s)) * phase
-        # ell_i(v) = c b - d a and ell_i(n) = c conj(a) + d conj(b) for
-        # each weighted line c x + d y, one row each
-        values = np.array([_gauss([
-            (cr * br - ci * bi - dr * ar + di * ai,
-             cr * bi + ci * br - dr * ai - di * ar),
-            (cr * ar + ci * ai + dr * br + di * bi,
-             ci * ar - cr * ai + di * br - dr * bi)])
-            for ((cr, ci), (dr, di)), _ in weighted]).reshape(-1, 2, 1, 1)
+        pairs = np.array([chart.pairs[i] for i, _ in weighted]
+                         ).reshape(-1, 2, 1, 1)
         log_weight = -np.sum(powers[:, None, None] * (log_alpha + np.log(
-            np.abs(values[:, 0] + values[:, 1] * z))), axis=0)
-        out.append((log_s, log_alpha, z, log_weight,
-                    HomogeneousForm(1, ((br, bi), (ar, -ai))),
-                    HomogeneousForm(1, ((-ar, -ai), (br, -bi)))))
+            np.abs(pairs[:, 0] + pairs[:, 1] * z))), axis=0)
+        out.append((log_s, log_alpha, z, log_weight, chart.chart_x,
+                    chart.chart_y))
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arrangement import Line, WeightedArrangement
+from .arrangement import Line, WeightedArrangement, hopf_charts
 from .gaussian import to_fraction
 from .multiplier_ideal import IdealDescriptor
 
@@ -220,10 +220,8 @@ def generic_rays(arr: WeightedArrangement, count: int, seed: int
         if norm == 0.0:
             continue
         u = (complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm)
-        dist = min(
-            (abs(line.evaluate(*u)) / line.coeff_norm() for line in arr.lines),
-            default=1.0,
-        )
+        dist = min((abs(line.unit[0] * u[0] + line.unit[1] * u[1])
+                    for line in arr.lines), default=1.0)
         if dist > 0.05:
             rays.append(u)
     return rays
@@ -235,36 +233,30 @@ def _probe_geometry(arr: WeightedArrangement, decades: int,
                     ) -> tuple[tuple[tuple[tuple[float, ...], float], ...], ...]:
     """Per scale r = 10^-1..10^-decades, log line values and log norms.
 
-    Points: each line's unit direction pushed off the line by eps = r^j for
-    every offset j, plus `rays` fixed generic directions, all scaled by r.
-    Line values at the pushed points are evaluated in the split form
-    ell_k(v + eps*n) = ell_k(v) + eps*ell_k(n), with the analytic zero
-    ell_i(v_i) = 0 substituted exactly; plain coordinate arithmetic would
-    absorb offsets below 1e-16 into the unit-size direction.
+    Points: each line point p pushed off its line along the unit normal n
+    by eps = r^j for every offset j, plus `rays` fixed generic directions,
+    all scaled by r.  The line values at p + eps n are the chart pairs
+    ell_k(p) + eps ell_k(n) of `arrangement.hopf_charts`, where
+    ell_i(p_i) = 0 exactly; plain coordinate arithmetic would absorb
+    offsets below 1e-16 into the unit-size direction.  Lines enter
+    unit-normalized, which shifts each log by a constant and moves no rise.
     """
     directions = generic_rays(arr, rays, seed)
+    units = [line.unit for line in arr.lines]
     per_scale = []
     for d in range(1, decades + 1):
         r = 10.0 ** (-d)
         log_r = math.log(r)
         pts: list[tuple[tuple[float, ...], float]] = []
-        for i, line in enumerate(arr.lines):
-            v = line.direction()
-            n = line.unit_normal()
-            base = [lk.evaluate(*v) for lk in arr.lines]
-            base[i] = 0.0
-            push = [lk.evaluate(*n) for lk in arr.lines]
+        for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
             for j in offsets:
                 eps = r ** j
-                logs = tuple(
-                    log_r + math.log(abs(b + eps * q))
-                    for b, q in zip(base, push)
-                )
+                logs = tuple(log_r + math.log(abs(a + eps * b))
+                             for a, b in chart.pairs)
                 pts.append((logs, log_r + 0.5 * math.log1p(eps * eps)))
         for u in directions:
-            logs = tuple(
-                log_r + math.log(abs(lk.evaluate(*u))) for lk in arr.lines
-            )
+            logs = tuple(log_r + math.log(abs(a * u[0] + b * u[1]))
+                         for a, b in units)
             pts.append((logs, log_r))
         per_scale.append(tuple(pts))
     return tuple(per_scale)

@@ -14,6 +14,7 @@ from pshlab.arrangement import (
     ZeroFormError,
     ZeroWeightError,
     arrangement_from_dict,
+    hopf_charts,
     lct,
     load_arrangement,
     new_arrangement,
@@ -164,3 +165,35 @@ def test_parse_errors(tmp_path):
 def test_unknown_preset():
     with pytest.raises(ArrangementError):
         preset("missing")
+
+
+def _chordal2(a: Line, b: Line) -> Fraction:
+    """|a_x b_y - a_y b_x|^2 / (|a|^2 |b|^2) on the exact coefficients."""
+    cross = a.cx * b.cy - a.cy * b.cx
+    return cross.abs2() / ((a.cx.abs2() + a.cy.abs2())
+                           * (b.cx.abs2() + b.cy.abs2()))
+
+
+@pytest.mark.parametrize("lines", [
+    [(1, 1), (1, 1 + Fraction(1, 2 ** 40))],
+    [(1, ("1/3", "-2/7")), (("5/2", "1/9"), ("-3/4", "2/5")), (0, 1)],
+    [(1, 0), (1, 10 ** 300)],
+], ids=["close", "gaussian-rational", "huge"])
+def test_hopf_chart_pairs(lines):
+    # the chart pairs are exact before they are rounded: 0 on the chart's
+    # own line, the chordal distance elsewhere (close lines in float
+    # coordinates cancel to about 1e-4 relative), unit norm, no overflow
+    arr = new_arrangement(lines, [1] * len(lines))
+    charts = hopf_charts(arr)
+    assert hopf_charts(arr) is charts  # built once per arrangement
+    for j, chart in enumerate(charts):
+        for i, (a, b) in enumerate(chart.pairs):
+            assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-15
+            if i == j:
+                assert a == 0.0
+            else:
+                want = float(_chordal2(arr.lines[i], arr.lines[j]))
+                assert abs(a) ** 2 == pytest.approx(want, rel=1e-12)
+        assert chart.spacing == min(_chordal2(arr.lines[j], other)
+                                    for other in arr.lines
+                                    if other != arr.lines[j])

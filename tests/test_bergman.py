@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -396,3 +397,14 @@ def test_degree_cutoff_beyond_the_rule_raises():
         gram_matrix(ZERO_WEIGHT, 1, quad)
     # at m = 3 the line powers take degree 6 of the cutoff: cofactor 42
     assert gram_matrix(THEOREM1, 3, quad).basis_size == sum(range(44))
+
+
+def test_huge_line_coefficient_slopes():
+    # x + 10^300 y once overflowed the Shepard distances of the Hopf rule
+    huge = new_arrangement([(1, 0), (1, 10 ** 300)],
+                           [Fraction(1, 2), Fraction(3, 4)])
+    quad = QuadratureSpec(max_degree=12, sphere_samples=10_000, seed=42)
+    assert lelong(entry(huge, 2).cls) == 1
+    assert abs(lelong_estimate(huge, 2, quad).value - 1.0) <= 0.05
+    t = np.geomspace(1e-3, 1e-1, 25)
+    assert abs(curve_scan(huge, 2, 3, diagonal_curve, t, quad).slope) <= 0.05

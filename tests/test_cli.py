@@ -342,17 +342,46 @@ def test_bergman_huge_degree_cutoff_exits_2(monkeypatch, capsys):
     assert err.startswith("error:") and "cofactor degree" in err
 
 
-@pytest.mark.parametrize("flags, reason", [
-    (["--indices", "pow2", "--k-max", "100000"], "bits"),
-    (["--indices", "3k+2", "--k-max", "1000000000"], "indices exceed"),
-    (["--indices", "3," + str(2 ** 1200)], "bits"),
-], ids=["pow2-bits", "3k+2-count", "list-bits"])
-def test_sequence_index_family_cost_guard(flags, reason, capsys):
+@pytest.mark.parametrize("command, flags, reason", [
+    ("sequence", ["--indices", "pow2", "--k-max", "100000"], "bits"),
+    ("sequence", ["--indices", "3k+2", "--k-max", "1000000000"],
+     "indices exceed"),
+    ("sequence", ["--indices", "3," + str(2 ** 1200)], "bits"),
+    ("sequence", ["--m-max", "300000"], "indices exceed"),
+    ("analyze", ["--m-max", "300000"], "indices exceed"),
+], ids=["pow2-bits", "3k+2-count", "list-bits", "sequence-m-max",
+        "analyze-m-max"])
+def test_sequence_index_family_cost_guard(command, flags, reason, capsys,
+                                          monkeypatch):
     # refused from the family's size before any index or entry is built
-    rc = main(["sequence", "--preset", "theorem1", *flags])
+    from pshlab import cli
+
+    def no_entries(*args, **kwargs):
+        raise AssertionError("entries built")
+
+    monkeypatch.setattr(cli, "entry", no_entries)
+    monkeypatch.setattr(cli, "monotonicity_report", no_entries)
+    rc = main([command, "--preset", "theorem1", *flags])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("flags, key, want", [
+    (["--m", "2"], "lelong_estimate", 1.0),
+    (["--m1", "2", "--m2", "3"], "slope", 0.0),
+], ids=["rays", "scan"])
+def test_bergman_huge_line_coefficient(flags, key, want, tmp_path):
+    # x + 10^300 y once overflowed the Hopf rule: a numpy warning on
+    # stderr, then exit 2 blaming --radius
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "lines": [[["1", "0"], ["0", "0"]], [["1", "0"], [str(10 ** 300), "0"]]],
+        "coeffs": ["1/2", "3/4"]}), encoding="utf-8")
+    proc = run_cli(["bergman", "--file", str(path), *flags, "--no-timestamp"],
+                   timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert abs(json.loads(proc.stdout)[key] - want) <= 0.05
 
 
 _EXACT_COMMANDS = [

@@ -182,6 +182,19 @@ def test_probe_matches_comparator_on_paper_pairs():
     assert boundedness_probe(THEOREM1, _cls(3), _cls(3))
 
 
+def test_probe_with_huge_line_coefficient():
+    # x + 10^300 y once raised OverflowError; its verdicts are those of x + 3y
+    weights = [Fraction(1, 2), Fraction(3, 4)]
+    huge = new_arrangement([(1, 0), (1, 10 ** 300)], weights)
+    small = new_arrangement([(1, 0), (1, 3)], weights)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            verdicts = [boundedness_probe(arr, entry(arr, a).cls,
+                                          entry(arr, b).cls)
+                        for arr in (huge, small)]
+            assert verdicts[0] == verdicts[1], (a, b)
+
+
 # -- integer comparison against a plain-Fraction reference ------------------
 
 
