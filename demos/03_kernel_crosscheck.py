@@ -39,7 +39,8 @@ def monte_carlo_diagonal(arr, result, count):
     x, y = points[:, 0], points[:, 1]
     weight = np.ones(SAMPLES)
     for line, b, a in zip(arr.lines, result.line_powers, arr.coeffs):
-        weight *= np.abs(line.evaluate(x, y)) ** (2 * float(b - result.m * a))
+        value = complex(line.cx) * x + complex(line.cy) * y
+        weight *= np.abs(value) ** (2 * float(b - result.m * a))
     s_hom = 2 * result.m * arr.total_mass
     out = []
     for (u, v), d in list(zip(result.monomials, result.degrees))[:count]:
@@ -79,7 +80,8 @@ mc = iter(monte_carlo_diagonal(arr, g1, sum(b.gram.shape[0]
                                             for b in g1.blocks[:3])))
 for block in g1.blocks[:3]:
     print(f"  degree {block.degree}: <f,f> = " + ", ".join(
-        f"{h:.5f} | {next(mc)[0]:.5f}" for h in np.diag(block.gram).real))
+        f"{h:.5f} | {next(mc)[0]:.5f}"
+        for h in np.diag(g1.gram).real[block.span]))
 print()
 
 print("Gram structure for m = 3 (degrees 6..12):")

@@ -71,9 +71,20 @@ class Line:
         coefficient overflows however large it is."""
         return tuple(unit_complex(self.integer_form.coeffs))
 
-    def evaluate(self, x, y):
-        """Numeric value of the form at complex scalars or arrays."""
-        return complex(self.cx) * x + complex(self.cy) * y
+    @functools.cached_property
+    def log_norm(self) -> float:
+        """log of the Hermitian norm |ell| of the coefficients, from their
+        exact squared norm q >= 1 (one coefficient is 1) with its binary
+        exponent k taken out exactly: log q = k log 2 + log(q / 2^k)."""
+        q = self.cx.abs2() + self.cy.abs2()
+        k = q.numerator.bit_length() - q.denominator.bit_length()
+        return 0.5 * (k * math.log(2.0) + math.log1p(
+            Fraction(q.numerator, q.denominator << k) - 1))
+
+    def modulus(self, x, y):
+        """|ell(x, y)| / |ell| at complex scalars or arrays: the only float
+        view of the form, so no coefficient overflows."""
+        return abs(self.unit[0] * x + self.unit[1] * y)
 
     def label(self) -> str:
         if self.cx == ONE and self.cy.is_zero:
@@ -170,6 +181,11 @@ class HopfChart:
     chart_x: HomogeneousForm
     chart_y: HomogeneousForm
 
+    def moduli(self, alpha, beta) -> list:
+        """|ell_i(alpha p + beta n)| / |ell_i| of every line i, at scalars or
+        arrays alike."""
+        return [abs(a * alpha + b * beta) for a, b in self.pairs]
+
 
 def _chart(lines: tuple[Line, ...], a: Gaussian, b: Gaussian) -> HopfChart:
     """The chart around the point of the line a x + b y (Gaussian-integer
@@ -218,10 +234,10 @@ def phi_value(arr: WeightedArrangement, point: tuple[complex, complex]) -> float
     for line, a in zip(arr.lines, arr.coeffs):
         if a == 0:
             continue
-        v = abs(line.evaluate(x, y))
+        v = line.modulus(x, y)
         if v == 0.0:
             return float("-inf")
-        total += float(a) * math.log(v)
+        total += float(a) * (math.log(v) + line.log_norm)
     if arr.point_mass > 0:
         r = math.hypot(abs(x), abs(y))
         if r == 0.0:

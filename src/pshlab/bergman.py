@@ -9,9 +9,11 @@ so elements of different total degree are orthogonal, and the same-degree
 sphere integrands are constant on the Hopf fibres: their means are
 integrals over CP^1, taken with a deterministic rule graded toward the
 line points.  The Gram matrix is computed and factorized one degree block
-at a time to an orthonormal basis, giving a computable lower truncation phi_hat of phi_m whose slopes near 0 recover the
-symbolic singularity data.  The kernel is evaluated in log space by
-homogeneity, so high degrees neither underflow nor overflow.
+at a time to an orthonormal basis, giving a computable lower truncation
+phi_hat of phi_m whose slopes near 0 recover the symbolic singularity
+data.  Lines enter as unit forms; their norms make one exact log scale per
+Gram.  The kernel is evaluated in log space by homogeneity, so high
+degrees neither underflow nor overflow.
 
 Admissibility of a basis element is decided symbolically (ideal
 membership); the quadrature never gets to vote on integrability.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,22 +58,25 @@ class EmptyBasisError(ValueError):
 
 class DegreeCutoffError(ValueError):
     """The degree cutoff asks for cofactor degrees beyond the range that
-    the fixed Hopf rule integrates exactly in its angle."""
+    the fixed Hopf rule integrates exactly in its angle, or the basis
+    reaches a degree (2^53) that floats no longer hold exactly."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation parameters for the Gram computation.
+    """Parameters of a Gram and of the estimates built on it.
 
-    The Gram itself is deterministic.  `seed` picks the rays of
-    `lelong_estimate`; `sphere_samples` and `seed` fix the Monte Carlo
-    sample of `sphere_points` that cross-checks of the rule draw.
+    `max_degree` is the basis' total-degree cutoff; the Gram is otherwise
+    deterministic.  `seed` picks the rays of `lelong_estimate`;
+    `sphere_samples` and `seed` size the Monte Carlo sample of
+    `sphere_points` that cross-checks of the rule draw.  The ball is the
+    unit ball: by homogeneity phi_{m,R}(z) = phi_{m,1}(z/R) + (T - 2/m)
+    log R (T the total mass), so no other radius is needed.
     """
 
     max_degree: int
     sphere_samples: int
     seed: int
-    radius: float = 1.0
 
     def __post_init__(self):
         if self.max_degree < 0:
@@ -79,8 +85,6 @@ class QuadratureSpec:
             raise ValueError(
                 f"sphere_samples must be >= {MIN_SPHERE_SAMPLES}"
             )
-        if not (0 < self.radius < math.inf):
-            raise ValueError("radius must be positive and finite")
 
     def with_max_degree(self, n: int) -> "QuadratureSpec":
         return replace(self, max_degree=n)
@@ -111,19 +115,19 @@ def admissible_basis(arr: WeightedArrangement, m: int, max_degree: int
     return expand(arr, b, _cofactor_monomials(degrees))
 
 
-def radial_factor(d_total: int, s, radius: float = 1.0) -> float:
-    """Exact integral of r^(d_total - s + 3) over (0, radius].
+def radial_factor(d_total: int, s) -> float:
+    """Exact integral of r^(d_total - s + 3) over (0, 1].
 
     `s` is the homogeneity degree 2m*total_mass of the weight; the
-    integrand exponent must stay above -1.
+    integrand exponent, taken exactly, must stay above -1.
     """
-    power = float(d_total) - float(s) + 4.0
+    power = d_total - Fraction(s) + 4
     if power <= 0:
         raise NonIntegrableExponentError(
             f"radial exponent {power - 1} is not integrable; "
             "an inadmissible element slipped through the basis filter"
         )
-    return radius ** power / power
+    return 1.0 / float(power)
 
 
 def sphere_points(count: int, seed: int) -> np.ndarray:
@@ -159,16 +163,16 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chart_nodes(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
-                 phase: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (x, y) and weights of chart j at the radial nodes s with plain
-    weights w, times the trapezoid angles `phase`.
+                 phase: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nodes (x, y), weights and line log moduli log(|ell_i(q)| / |ell_i|)
+    (one row per line) of chart j at the radial nodes s with plain weights
+    w, times the trapezoid angles `phase`.
 
     The charts are joined by the Shepard partition of unity
     chi_j = s_j^-3 / sum_i s_i^-3 with s_i = |ell_i(q)|^2 / |ell_i|^2,
-    read off the chart's unit-normalized pairs on its (s, angle) grid, so
-    they cover CP^1 without a background rule.  A node that lands exactly
-    on another line carries chi_j = 0 and is dropped.
+    read off the chart's line moduli on its (s, angle) grid, so they cover
+    CP^1 without a background rule.  A node that lands exactly on another
+    line carries chi_j = 0 and is dropped.
     """
     p, n = chart.point, chart.normal
     inner = np.sqrt(1.0 - s)[:, None]
@@ -176,14 +180,13 @@ def _chart_nodes(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
     x = (inner * p[0] + outer * n[0]).ravel()
     y = (inner * p[1] + outer * n[1]).ravel()
     w = np.repeat(w / len(phase), len(phase))
-    if len(chart.pairs) > 1:
-        dist = np.array([np.abs(inner * a + outer * b).ravel() ** 2
-                         for a, b in chart.pairs])
+    moduli = np.array(chart.moduli(inner, outer)).reshape(-1, x.size)
+    if len(moduli) > 1:
+        dist = moduli ** 2
         with np.errstate(divide="ignore"):
             w = w / np.sum((dist[j] / dist) ** 3, axis=0)
-        keep = w > 0.0
-        x, y, w = x[keep], y[keep], w[keep]
-    return x, y, w
+    keep = w > 0.0
+    return x[keep], y[keep], w[keep], np.log(moduli[:, keep])
 
 
 @functools.lru_cache(maxsize=16)
@@ -208,9 +211,10 @@ def _panel_nodes(arr: WeightedArrangement, legendre: int, angles: int):
 
 
 def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes (x, y) on S^3 and weights w with sum(w * F) ~ the S^3 mean of
-    any Hopf-fibre invariant F carrying the factor prod |ell_j|^(2 e_j).
+                ) -> tuple[np.ndarray, ...]:
+    """Nodes (x, y) on S^3, weights w with sum(w * F) ~ the S^3 mean of
+    any Hopf-fibre invariant F carrying the factor prod |ell_j|^(2 e_j),
+    and the line log moduli of `_chart_nodes` at the nodes.
 
     Chart j (`arrangement.hopf_charts`) carries the measure ds dphi / 2pi
     (the normalized area of CP^1).  Its radial rule is Gauss-Jacobi for
@@ -226,7 +230,7 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
         parts.append(_chart_nodes(j, chart, chart.s1 * sj,
                                   chart.s1 * wj / sj ** float(e), phase))
         parts.append(panel)
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -246,9 +250,13 @@ class GramResult:
 
     Entries between different total degrees vanish exactly (the weight is
     invariant under z -> e^{i theta} z), so only the same-degree blocks are
-    computed and stored.  The dense k x k `gram`, with exact zeros across
-    degrees, is assembled from them on first access.  `nodes` is the
-    number of Hopf rule nodes used.
+    computed and stored.  The blocks, their transforms and the kernel take
+    the lines as unit forms ell_i / |ell_i|; the arrangement's own
+    normalization multiplies every Gram entry by exp(log_scale), with
+    log_scale = 2 sum_i e_i log|ell_i|.  The dense k x k `gram` and
+    `transform`, in that normalization and with exact zeros across
+    degrees, are assembled from the blocks.  `nodes` is the number of Hopf
+    rule nodes used.
     """
 
     m: int
@@ -260,6 +268,7 @@ class GramResult:
     effective_rank: int
     degenerate: bool
     nodes: int
+    log_scale: float
     _arr: WeightedArrangement
 
     @property
@@ -272,7 +281,7 @@ class GramResult:
                        dtype=np.complex128)
         for block in self.blocks:
             out[block.span, block.span] = block.gram
-        return out
+        return out * math.exp(self.log_scale)
 
     @property
     def stderr(self) -> np.ndarray:
@@ -291,7 +300,7 @@ class GramResult:
             width = block.transform.shape[1]
             out[block.span, col:col + width] = block.transform
             col += width
-        return out
+        return out * math.exp(-0.5 * self.log_scale)
 
     def basis(self) -> list[BivariatePolynomial]:
         return admissible_basis(self._arr, self.m, self.spec.max_degree)
@@ -303,7 +312,6 @@ class GramResult:
             "quadrature_nodes": self.nodes,
             "sphere_samples": self.spec.sphere_samples,
             "seed": self.spec.seed,
-            "radius": self.spec.radius,
             "line_powers": list(self.line_powers),
             "monomials": [list(mn) for mn in self.monomials],
             "degrees": self.degrees.tolist(),
@@ -313,30 +321,6 @@ class GramResult:
             "effective_rank": self.effective_rank,
             "degenerate": self.degenerate,
         }
-
-
-def _line_exponents(arr: WeightedArrangement, line_powers: Sequence[int],
-                    m: int) -> list[float]:
-    """e_j = b_j - m a_j, the exponent of |ell_j| in |prod ell^b| sqrt(w);
-    each lies in (-1, 0]."""
-    return [float(power - m * a) for power, a in zip(line_powers, arr.coeffs)]
-
-
-def _weighted_modulus(arr: WeightedArrangement, line_powers: Sequence[int],
-                      m: int, x: np.ndarray, y: np.ndarray,
-                      scale: np.ndarray) -> np.ndarray:
-    """|prod ell_i^{b_i}| * sqrt(w) = prod |ell_i|^{b_i - m a_i}, times
-    `scale` (the square roots of the quadrature weights).
-
-    Each exponent lies in (-1, 0], so no factor overflows or underflows
-    however large m is.  The phase of prod ell_i^{b_i} is common to every
-    basis element and cancels in each Gram product f_j * conj(f_k), so it
-    is never formed.
-    """
-    out = scale.copy()
-    for line, e in zip(arr.lines, _line_exponents(arr, line_powers, m)):
-        out *= np.abs(line.evaluate(x, y)) ** e
-    return out
 
 
 def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -372,8 +356,12 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     with the orthonormalizing transform.
 
     Each block is sum(rows * conj(rows)^T) over the Hopf rule nodes, rows
-    being the weighted basis values scaled by the square roots of the node
-    weights.
+    being the cofactor monomials times one common factor per node,
+    |prod ell_i^b_i| e^{-m phi} sqrt(w) = exp(sum_i e_i log|ell_i|) sqrt(w)
+    for the unit forms ell_i, from the nodes' line log moduli.  Each
+    e_i = b_i - m a_i lies in (-1, 0], so no factor overflows or underflows
+    however large m is; the phase of prod ell_i^b_i cancels in every
+    f_j conj(f_k), so it is never formed.
     """
     line_powers, base, cofactor_degrees = _basis_layout(arr, m,
                                                         quad.max_degree)
@@ -391,10 +379,16 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
             f"below {HOPF_ANGLES} (max degree "
             f"{base + HOPF_ANGLES - 1} here)"
         )
+    if base + t_hi >= 2 ** 53:
+        raise DegreeCutoffError(
+            f"the basis of m={m} reaches degree "
+            f"2^{(base + t_hi).bit_length() - 1} or more; floats hold "
+            "degrees exactly only below 2^53")
     monos = _cofactor_monomials(cofactor_degrees)
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
-    x, y, w = _hopf_nodes(arr, _line_exponents(arr, line_powers, m))
-    root_w = np.sqrt(w)
+    exponents = [float(b - m * a) for b, a in zip(line_powers, arr.coeffs)]
+    x, y, w, log_moduli = _hopf_nodes(arr, exponents)
+    common = np.sqrt(w) * np.exp(np.array(exponents) @ log_moduli)
 
     sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
             for t in cofactor_degrees]
@@ -405,11 +399,9 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
             np.empty(size, dtype=np.complex128))
     conj = np.empty(size, dtype=np.complex128)
     for start in range(0, len(x), _CHUNK):
-        xc, yc = x[start:start + _CHUNK], y[start:start + _CHUNK]
-        common = _weighted_modulus(arr, line_powers, m, xc, yc,
-                                   root_w[start:start + _CHUNK])
-        for rows, s_sum in zip(
-                _cofactor_blocks(common, xc, yc, t_lo, t_hi, work), sums):
+        chunk = slice(start, start + _CHUNK)
+        for rows, s_sum in zip(_cofactor_blocks(
+                common[chunk], x[chunk], y[chunk], t_lo, t_hi, work), sums):
             rows_c = np.conjugate(rows, out=conj[:rows.size].reshape(
                 rows.shape))
             s_sum += rows @ rows_c.T
@@ -420,8 +412,7 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     for t, s_sum in zip(cofactor_degrees, sums):
         spans.append((base + t, slice(start, start + t + 1)))
         start += t + 1
-        block = s_sum * (SPHERE_AREA * radial_factor(2 * (base + t), s_hom,
-                                                     quad.radius))
+        block = s_sum * (SPHERE_AREA * radial_factor(2 * (base + t), s_hom))
         grams.append((block + block.conj().T) / 2.0)
 
     eigen = [np.linalg.eigh(gram) for gram in grams]
@@ -445,6 +436,8 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         effective_rank=rank,
         degenerate=rank < len(monos),
         nodes=len(x),
+        log_scale=2.0 * sum(e * line.log_norm
+                            for e, line in zip(exponents, arr.lines)),
         _arr=arr,
     )
 
@@ -453,9 +446,10 @@ def _log_kernel(result: GramResult, x, y) -> np.ndarray:
     """log of the sum of |sigma_l|^2 over the orthonormal basis, flattened.
 
     By homogeneity, with z = |z| u: log K(z) = 2 sum_i b_i log|ell_i(u)|
-    + logsumexp_d(2d log|z| + log K_d(u)), where K_d is the block-d kernel
-    of the cofactor monomials at u.  No power of |z| is ever formed, so
-    high degrees neither underflow nor overflow.
+    - log_scale + logsumexp_d(2d log|z| + log K_d(u)), where K_d is the
+    block-d kernel of the cofactor monomials at u and log|ell_i(u)| the
+    unit form's log modulus plus log|ell_i|.  No power of |z| is ever
+    formed, so high degrees neither underflow nor overflow.
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -466,11 +460,11 @@ def _log_kernel(result: GramResult, x, y) -> np.ndarray:
     blocks = result.blocks
     with np.errstate(divide="ignore"):
         log_r = np.log(r)
-        log_lines = np.zeros(len(x))
+        log_lines = np.full(len(x), -result.log_scale)
         for line, power in zip(result._arr.lines, result.line_powers):
             if power:
-                ell = line.evaluate(ux, uy)
-                log_lines += 2.0 * power * np.log(np.abs(ell))
+                log_lines += 2.0 * power * (np.log(line.modulus(ux, uy))
+                                            + line.log_norm)
         terms = []
         for block, rows in zip(blocks, _cofactor_blocks(
                 np.ones(len(ux)), ux, uy, blocks[0].degree - base,

@@ -170,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42,
                    help="seed of the slope rays")
     p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--rays", type=int, default=8)
     p.add_argument("--slope-tol", type=float, default=0.02,
                    help="|slope| below this counts as flat")
@@ -431,27 +430,22 @@ def _parse_curve(spec: str):
     raise UsageError(f"unknown curve {spec!r}; use x=y or dir:re,im,re,im")
 
 
-def _require_finite(what: str, values, hint: str) -> None:
+def _require_finite(what: str, values, hint: str = "") -> None:
     """A non-finite slope or kernel value is no result: report it as an
     error instead of printing a verdict computed from it."""
     import numpy as np
 
     if not np.all(np.isfinite(values)):
-        raise UsageError(f"{what} is not finite ({hint})")
+        raise UsageError(f"{what} is not finite" + hint)
 
 
-def _numeric_guard(args, estimate, *pos, **kw):
-    """Run a numeric estimate; a radial factor radius**power that leaves
-    the float range, or a degree cutoff beyond the quadrature rule, is a
-    usage error, not a traceback."""
+def _numeric_guard(estimate, *pos, **kw):
+    """Run a numeric estimate; a degree cutoff beyond the quadrature rule
+    or beyond exact float degrees is a usage error, not a traceback."""
     from .bergman import DegreeCutoffError
 
     try:
         return estimate(*pos, **kw)
-    except OverflowError as exc:
-        raise UsageError(
-            f"--radius {args.radius} overflows the radial factor"
-        ) from exc
     except DegreeCutoffError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -463,12 +457,7 @@ def _cmd_bergman(args) -> int:
 
     arr = _resolve_arrangement(args)
     try:
-        quad = QuadratureSpec(
-            max_degree=args.max_degree,
-            sphere_samples=args.samples,
-            seed=args.seed,
-            radius=args.radius,
-        )
+        quad = QuadratureSpec(args.max_degree, args.samples, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -490,9 +479,9 @@ def _cmd_bergman(args) -> int:
         if args.points < 2:
             raise UsageError("a slope needs --points >= 2")
         t = np.geomspace(args.tmin, args.tmax, args.points)
-        scan = _numeric_guard(args, curve_scan, arr, args.m1, args.m2,
-                             curve, t, quad)
-        hint = "does the curve lie on a line, or is --radius far from 1?"
+        scan = _numeric_guard(curve_scan, arr, args.m1, args.m2, curve, t,
+                              quad)
+        hint = " (does the curve lie on a line?)"
         _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
         _require_finite(f"phi_{args.m2} along {curve_name}", scan.phi2, hint)
         _require_finite(f"the slope along {curve_name}", scan.slope, hint)
@@ -524,10 +513,8 @@ def _cmd_bergman(args) -> int:
         raise UsageError("--m must be >= 1")
     if args.rays < 1:
         raise UsageError("--rays must be >= 1")
-    est = _numeric_guard(args, lelong_estimate, arr, args.m, quad,
-                        rays=args.rays)
-    _require_finite(f"a ray slope of phi_{args.m}", est.per_ray,
-                    "is --radius far from 1?")
+    est = _numeric_guard(lelong_estimate, arr, args.m, quad, rays=args.rays)
+    _require_finite(f"a ray slope of phi_{args.m}", est.per_ray)
     symbolic = lelong(entry(arr, args.m).cls)
 
     def to_json() -> dict:

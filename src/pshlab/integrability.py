@@ -27,6 +27,7 @@ spread above MAX_SPREAD makes the verdict undecided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,19 +70,19 @@ def _chart_coefficients(form: HomogeneousForm, chart_x: HomogeneousForm,
     return np.array(scaled_complex(total))
 
 
-def _charts(arr: WeightedArrangement, c: float) -> list[tuple]:
-    """Per line point, what every component shares: log s at LEVELS,
-    log alpha and z = beta / alpha on the (level, angle) grid, the chart
-    coordinates as linear forms in (alpha, beta), and the weight's log
-    sum_i -2 c a_i log|ell_i(q)|.
+@functools.lru_cache(maxsize=16)
+def _charts(arr: WeightedArrangement) -> tuple[tuple, ...]:
+    """Per line point, what every component and every multiple c share,
+    built once per arrangement: log s at LEVELS, log alpha and
+    z = beta / alpha on the (level, angle) grid, the chart coordinates as
+    linear forms in (alpha, beta), and the weight's log per unit of c,
+    sum_i -2 a_i log|ell_i(q)|.
 
     Chart j (`arrangement.hopf_charts`) is q = alpha v + beta n, in which
     every line form is alpha ell_i(v) + beta ell_i(n); the weight reads the
-    chart's unit-normalized pairs.  Constant factors (|v|, |n|, the scale
-    of each form) do not move a slope.
+    chart's unit-normalized line moduli.  Constant factors (|v|, |n|, the
+    scale of each form) do not move a slope.
     """
-    weighted = [(i, 2.0 * c * float(a)) for i, a in enumerate(arr.coeffs) if a]
-    powers = np.array([power for _, power in weighted])
     phase = np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
     out = []
     for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
@@ -89,18 +90,17 @@ def _charts(arr: WeightedArrangement, c: float) -> list[tuple]:
         log_s = (math.log(spacing.numerator) - math.log(spacing.denominator)
                  - math.log(2.0) * np.array(LEVELS, dtype=float))
         s = np.exp(log_s)[:, None]
-        log_alpha = 0.5 * np.log1p(-s)
-        z = np.sqrt(s / (1.0 - s)) * phase
-        pairs = np.array([chart.pairs[i] for i, _ in weighted]
-                         ).reshape(-1, 2, 1, 1)
-        log_weight = -np.sum(powers[:, None, None] * (log_alpha + np.log(
-            np.abs(pairs[:, 0] + pairs[:, 1] * z))), axis=0)
-        out.append((log_s, log_alpha, z, log_weight, chart.chart_x,
-                    chart.chart_y))
-    return out
+        alpha, beta = np.sqrt(1.0 - s), np.sqrt(s) * phase
+        moduli = chart.moduli(alpha, beta)
+        log_weight = -2.0 * sum(float(a) * np.log(moduli[i])
+                                for i, a in enumerate(arr.coeffs) if a)
+        out.append((log_s, 0.5 * np.log1p(-s), beta / alpha, log_weight,
+                    chart.chart_x, chart.chart_y))
+    return tuple(out)
 
 
-def _line_margin(form: HomogeneousForm, chart: tuple) -> tuple[float, float]:
+def _line_margin(form: HomogeneousForm, chart: tuple, c: float
+                 ) -> tuple[float, float]:
     """(kappa-hat, spread) of one homogeneous component at one line point:
     the slopes of the log angular mean between levels (s quartered at each
     step), then Richardson's (4 next - previous) / 3."""
@@ -113,7 +113,7 @@ def _line_margin(form: HomogeneousForm, chart: tuple) -> tuple[float, float]:
     for coeff in g[-2::-1]:
         poly = poly * z + coeff
     log_g = 2.0 * (form.degree * log_alpha + k * np.log(np.abs(z))
-                   + np.log(np.abs(poly))) + log_weight
+                   + np.log(np.abs(poly))) + c * log_weight
     top = log_g.max(axis=1, keepdims=True)
     log_mean = top[:, 0] + np.log(np.mean(np.exp(log_g - top), axis=1))
     slopes = np.diff(log_mean) / np.diff(log_s)
@@ -135,9 +135,8 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     # a log of 0 (a chart grid point on a zero) yields a non-finite margin,
     # which fails every comparison below: divergent and undecided
     with np.errstate(divide="ignore", invalid="ignore"):
-        charts = _charts(arr, float(c))
-        per_line = [[_line_margin(form, chart) for form in components]
-                    for chart in charts]
+        per_line = [[_line_margin(form, chart, float(c))
+                     for form in components] for chart in _charts(arr)]
     checks = [(kappa, spread, max(20.0 * spread, MIN_RESOLUTION))
               for found in per_line for kappa, spread in found]
     return IntegrabilityVerdict(

@@ -220,8 +220,7 @@ def generic_rays(arr: WeightedArrangement, count: int, seed: int
         if norm == 0.0:
             continue
         u = (complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm)
-        dist = min((abs(line.unit[0] * u[0] + line.unit[1] * u[1])
-                    for line in arr.lines), default=1.0)
+        dist = min((line.modulus(*u) for line in arr.lines), default=1.0)
         if dist > 0.05:
             rays.append(u)
     return rays
@@ -235,14 +234,13 @@ def _probe_geometry(arr: WeightedArrangement, decades: int,
 
     Points: each line point p pushed off its line along the unit normal n
     by eps = r^j for every offset j, plus `rays` fixed generic directions,
-    all scaled by r.  The line values at p + eps n are the chart pairs
-    ell_k(p) + eps ell_k(n) of `arrangement.hopf_charts`, where
+    all scaled by r.  The line values at p + eps n are the chart moduli
+    |ell_k(p) + eps ell_k(n)| of `arrangement.hopf_charts`, where
     ell_i(p_i) = 0 exactly; plain coordinate arithmetic would absorb
     offsets below 1e-16 into the unit-size direction.  Lines enter
     unit-normalized, which shifts each log by a constant and moves no rise.
     """
     directions = generic_rays(arr, rays, seed)
-    units = [line.unit for line in arr.lines]
     per_scale = []
     for d in range(1, decades + 1):
         r = 10.0 ** (-d)
@@ -251,12 +249,12 @@ def _probe_geometry(arr: WeightedArrangement, decades: int,
         for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
             for j in offsets:
                 eps = r ** j
-                logs = tuple(log_r + math.log(abs(a + eps * b))
-                             for a, b in chart.pairs)
+                logs = tuple(log_r + math.log(v)
+                             for v in chart.moduli(1.0, eps))
                 pts.append((logs, log_r + 0.5 * math.log1p(eps * eps)))
         for u in directions:
-            logs = tuple(log_r + math.log(abs(a * u[0] + b * u[1]))
-                         for a, b in units)
+            logs = tuple(log_r + math.log(line.modulus(*u))
+                         for line in arr.lines)
             pts.append((logs, log_r))
         per_scale.append(tuple(pts))
     return tuple(per_scale)

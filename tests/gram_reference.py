@@ -21,18 +21,24 @@ from pshlab.bergman import SPHERE_AREA, radial_factor, sphere_points
 CHUNK = 1 << 14
 
 
+def raw_line(line, x, y):
+    """The line form with its own coefficients, as the arrangement
+    normalizes them (moderate coefficients only)."""
+    return complex(line.cx) * x + complex(line.cy) * y
+
+
 def basis_values(arr, result, x, y):
     """Values of the basis elements prod ell^b * x^u * y^v, one row each."""
     common = np.ones_like(x)
     for line, power in zip(arr.lines, result.line_powers):
-        common = common * line.evaluate(x, y) ** power
+        common = common * raw_line(line, x, y) ** power
     return np.array([common * x ** u * y ** v for u, v in result.monomials])
 
 
 def _weighted_rows(arr, result, x, y):
     sqrt_w = np.ones(len(x))
     for line, a in zip(arr.lines, arr.coeffs):
-        sqrt_w *= np.abs(line.evaluate(x, y)) ** -float(result.m * a)
+        sqrt_w *= np.abs(raw_line(line, x, y)) ** -float(result.m * a)
     return basis_values(arr, result, x, y) * sqrt_w
 
 
@@ -70,8 +76,7 @@ def full_gram(arr, result):
     mean, stderr = full_sphere_moments(arr, result)
     s_hom = 2 * result.m * arr.total_mass
     d = result.degrees
-    scale = np.array([[SPHERE_AREA * radial_factor(int(dj + dk), s_hom,
-                                                   result.spec.radius)
+    scale = np.array([[SPHERE_AREA * radial_factor(int(dj + dk), s_hom)
                        for dk in d] for dj in d])
     gram = mean * scale
     return (gram + gram.conj().T) / 2.0, stderr * scale

@@ -167,6 +167,42 @@ def test_unknown_preset():
         preset("missing")
 
 
+# x + 2^1998 y: each coefficient fits a file, the normalized form does not
+# fit a float
+HUGE_NORM_LINE = (Fraction(1, 2 ** 999), 2 ** 999)
+
+
+@pytest.mark.parametrize("spec, norm2", [
+    ((1, 1), Fraction(2)),
+    ((1, ("1/3", "-2/7")), 1 + Fraction(1, 9) + Fraction(4, 49)),
+    (HUGE_NORM_LINE, 1 + 2 ** 3996),
+], ids=["x+y", "gaussian-rational", "huge-norm"])
+def test_line_unit_form(spec, norm2):
+    # log_norm restores the normalization the unit form leaves out; the
+    # modulus is the unit form's, against exact |ell(z)|^2 / |ell|^2
+    line = Line.normalized(*spec)
+    assert line.log_norm == pytest.approx(0.5 * math.log(norm2), rel=1e-15)
+    if norm2 > 10 ** 6:
+        return
+    for x, y in [(Fraction(3, 7), (Fraction(-1, 5), Fraction(2, 3))),
+                 ((Fraction(5, 4), Fraction(1, 9)), Fraction(-7, 3))]:
+        x, y = GaussianRational.of(x), GaussianRational.of(y)
+        want = math.sqrt((line.cx * x + line.cy * y).abs2() / norm2)
+        got = line.modulus(complex(x), complex(y))
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+def test_phi_value_huge_line_norm():
+    # once an OverflowError: the raw coefficient 2^1998 became a float
+    arr = new_arrangement([(1, 0), HUGE_NORM_LINE], ["1/2", "3/4"])
+    x, y = 0.3 + 0.1j, -0.2 + 0.5j
+    got = phi_value(arr, (x, y))
+    want = 0.5 * math.log(abs(x)) + 0.75 * (
+        1998 * math.log(2) + math.log(abs(2.0 ** -1998 * x + y)))
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def _chordal2(a: Line, b: Line) -> Fraction:
     """|a_x b_y - a_y b_x|^2 / (|a|^2 |b|^2) on the exact coefficients."""
     cross = a.cx * b.cy - a.cy * b.cx

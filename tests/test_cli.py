@@ -294,18 +294,12 @@ def test_usage_requires_m_flags():
     # slope must come back without a numpy warning
     pytest.param(["--m1", "3", "--m2", "4", "--curve", "dir:1,0,0,0"],
                  marks=pytest.mark.filterwarnings("error")),
-    # radius**power underflows to 0: every block has rank 0
-    ["--m", "3", "--radius", "1e-200"],
-    # radius**power overflows the float range
-    ["--m", "3", "--radius", "1e30"],
-    ["--m", "3", "--radius", "inf"],
     ["--m1", "3", "--m2", "4", "--points", "0"],
     ["--m1", "3", "--m2", "4", "--points", "1"],
     ["--m", "3", "--rays", "0"],
     # cofactor degrees beyond the angular exactness of the rule
     ["--m", "1", "--max-degree", "48"],
-], ids=["curve-in-line", "radius-underflow", "radius-overflow",
-        "radius-inf", "points-0", "points-1", "rays-0", "cutoff-48"])
+], ids=["curve-in-line", "points-0", "points-1", "rays-0", "cutoff-48"])
 def test_bergman_degenerate_input_exits_2(flags, capsys):
     rc = main(["bergman", "--preset", "theorem1", "--samples", "10000",
                *flags])
@@ -367,21 +361,58 @@ def test_sequence_index_family_cost_guard(command, flags, reason, capsys,
     assert err.startswith("error:") and reason in err
 
 
-@pytest.mark.parametrize("flags, key, want", [
-    (["--m", "2"], "lelong_estimate", 1.0),
-    (["--m1", "2", "--m2", "3"], "slope", 0.0),
-], ids=["rays", "scan"])
-def test_bergman_huge_line_coefficient(flags, key, want, tmp_path):
+HUGE_LINE = {
+    "lines": [[["1", "0"], ["0", "0"]], [["1", "0"], [str(10 ** 300), "0"]]],
+    "coeffs": ["1/2", "3/4"]}
+TINY_EXPONENT = {**HUGE_LINE, "coeffs": ["1/2", "99/100"]}
+HUGE_NORM = {"lines": [["1", "0"], ["1/" + str(2 ** 999), str(2 ** 999)]],
+             "coeffs": ["1/2", "3/4"]}
+
+
+@pytest.mark.parametrize("data, flags, key, want", [
+    (HUGE_LINE, ["--m", "2"], "lelong_estimate", 1.0),
+    (HUGE_LINE, ["--m1", "2", "--m2", "3"], "slope", 0.0),
+    (TINY_EXPONENT, ["--m", "1"], "lelong_estimate", 0.0),
+    (TINY_EXPONENT, ["--m1", "1", "--m2", "2"], "slope", None),
+    (HUGE_NORM, ["--m", "2"], "lelong_estimate", 1.0),
+    (HUGE_NORM, ["--m1", "2", "--m2", "3"], "slope", 0.0),
+], ids=["rays", "scan", "exponent-rays", "exponent-scan", "norm-rays",
+        "norm-scan"])
+def test_bergman_huge_line_coefficient(data, flags, key, want, tmp_path):
     # x + 10^300 y once overflowed the Hopf rule: a numpy warning on
-    # stderr, then exit 2 blaming --radius
+    # stderr, then exit 2 blaming --radius.  The Gram's weight then still
+    # read the raw coefficients: the exponent -0.99 on that line underflowed
+    # it to 0, and x + 2^1998 y overflowed its float conversion
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "lines": [[["1", "0"], ["0", "0"]], [["1", "0"], [str(10 ** 300), "0"]]],
-        "coeffs": ["1/2", "3/4"]}), encoding="utf-8")
+    path.write_text(json.dumps(data), encoding="utf-8")
     proc = run_cli(["bergman", "--file", str(path), *flags, "--no-timestamp"],
                    timeout=300)
     assert proc.returncode == 0 and proc.stderr == ""
-    assert abs(json.loads(proc.stdout)[key] - want) <= 0.05
+    out = json.loads(proc.stdout)
+    numbers = out.get("per_ray", []) + [
+        v for row in out.get("rows", []) for v in row.values()]
+    assert all(map(math.isfinite, numbers + [out[key]]))
+    if want is not None:
+        assert abs(out[key] - want) <= 0.05
+
+
+def test_bergman_basis_degree_cap(tmp_path, monkeypatch, capsys):
+    # a weight of 2^999 puts the basis near degree 3 * 2^999 at m = 3:
+    # refused by its degree before any list or array is built
+    from pshlab import bergman
+
+    def no_list(degrees):
+        raise AssertionError("monomial list built")
+
+    monkeypatch.setattr(bergman, "_cofactor_monomials", no_list)
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"lines": [["1", "0"]],
+                                "coeffs": [str(2 ** 999)]}), encoding="utf-8")
+    rc = main(["bergman", "--file", str(path), "--m", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "reaches degree 2^1000" in err
+    assert len(err.splitlines()) == 1 and "--radius" not in err
 
 
 _EXACT_COMMANDS = [

@@ -9,14 +9,15 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 18 commands in each of the formats json, csv and md (54 pairs): ``lct``,
+- 20 commands in each of the formats json, csv and md (60 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
   ray slopes with ``--audit-gram``), on presets, on a three-line file
-  arrangement with a Gaussian-rational line and on a file with the lines
-  x and x + 10^300 y.  A format a command does not have must fail the
-  same way on both sides;
+  arrangement with a Gaussian-rational line and on three files with huge
+  coefficients: the lines x and x + 10^300 y (weights 3/4, then 99/100 on
+  the second line) and the lines x and x + 2^1998 y.  A format a command
+  does not have must fail the same way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - ``demos/03_kernel_crosscheck.py``.
 
@@ -52,8 +53,17 @@ HUGE_ARRANGEMENT = {
     "coeffs": ["1/2", "3/4"],
 }
 
+# huge coefficients in the weight and in the norm: Gram exponent -0.99 on
+# x + 10^300 y; and x + 2^1998 y, whose normalized form overflows a float
+HUGE_FILES = {
+    "HUGE": HUGE_ARRANGEMENT,
+    "TINY_EXPONENT": {**HUGE_ARRANGEMENT, "coeffs": ["1/2", "99/100"]},
+    "HUGE_NORM": {"lines": [["1", "0"], ["1/" + str(2 ** 999), str(2 ** 999)]],
+                  "coeffs": ["1/2", "3/4"]},
+}
 
-def cases(arrangement_file: str, huge_file: str) -> list[list[str]]:
+
+def cases(arrangement_file: str, huge_files: list[str]) -> list[list[str]]:
     f = ["--file", arrangement_file]
     t = ["--preset", "theorem1"]
     fast = ["--samples", "10000", "--points", "9"]
@@ -77,9 +87,8 @@ def cases(arrangement_file: str, huge_file: str) -> list[list[str]]:
         ["bergman", *t, "--m", "4", "--rays", "4", "--samples", "10000",
          "--audit-gram"],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
-        ["bergman", "--file", huge_file, "--m", "2", "--rays", "3",
-         "--samples", "10000"],
-    ]
+    ] + [["bergman", "--file", huge, "--m", "2", "--rays", "3",
+          "--samples", "10000"] for huge in huge_files]
     out = [[*cmd, "--format", fmt] for cmd in commands for fmt in FORMATS]
     out += [["sequence", *t, "--m-max", "3000", "--format", fmt]
             for fmt in FORMATS]
@@ -105,13 +114,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "arrangement.json"
         path.write_text(json.dumps(FILE_ARRANGEMENT), encoding="utf-8")
-        huge = Path(tmp) / "huge.json"
-        huge.write_text(json.dumps(HUGE_ARRANGEMENT), encoding="utf-8")
-        all_cases = cases(str(path), str(huge))
+        huge = {}
+        for name, data in HUGE_FILES.items():
+            huge[name] = Path(tmp) / f"{name.lower()}.json"
+            huge[name].write_text(json.dumps(data), encoding="utf-8")
+        all_cases = cases(str(path), [str(p) for p in huge.values()])
         for argv_ in all_cases:
             label = " ".join(argv_[2:] if argv_[0] == "-m" else argv_)
-            label = (label.replace(str(path), "FILE").replace(str(huge), "HUGE")
-                     .replace(str(ROOT), "."))
+            label = label.replace(str(path), "FILE").replace(str(ROOT), ".")
+            for name, file in huge.items():
+                label = label.replace(str(file), name)
             before, after = run(parent_src, argv_), run(ROOT / "src", argv_)
             if before == after:
                 print(f"same  exit {after[0]}  {len(after[1]):>8} B  {label}")
