@@ -113,6 +113,14 @@ class WeightedArrangement:
         """Identity used to decide whether two singularity classes are comparable."""
         return self.lines
 
+    @functools.cached_property
+    def scaled_weights(self) -> tuple[tuple[int, ...], int, int]:
+        """(A, T, L): the weights A_i / L and the total mass T / L over one
+        denominator L > 0, so that floor data is integer division."""
+        den = math.lcm(*(q.denominator for q in (*self.coeffs, self.total_mass)))
+        return (tuple(int(a * den) for a in self.coeffs),
+                int(self.total_mass * den), den)
+
     def describe(self) -> dict:
         return {
             "lines": [line.serialize() for line in self.lines],

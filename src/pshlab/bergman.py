@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,6 +38,8 @@ from .singularity import generic_rays
 MIN_SPHERE_SAMPLES = 10_000
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
+# exp(t) is a finite normal float for t in this range
+_EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 _CHUNK = 1 << 13
 # Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
 # Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
@@ -54,6 +57,10 @@ class NonIntegrableExponentError(ArithmeticError):
 
 class EmptyBasisError(ValueError):
     """No admissible basis element exists below the degree cutoff."""
+
+
+class DenseScaleError(ArithmeticError):
+    """exp(log_scale) or exp(-log_scale/2) is no finite normal float."""
 
 
 class DegreeCutoffError(ValueError):
@@ -233,6 +240,14 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
     return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
 
 
+def _dense_factor(log_scale: float, power: float) -> float:
+    """exp(power * log_scale), refused unless it is a finite normal float."""
+    if not _EXP_RANGE[0] <= power * log_scale <= _EXP_RANGE[1]:
+        raise DenseScaleError(f"log_scale = {log_scale:.6g} puts the dense "
+                              "Gram views outside the normal float range")
+    return math.exp(power * log_scale)
+
+
 @dataclass(frozen=True)
 class GramBlock:
     """The basis elements of one total degree: their positions in the basis
@@ -281,7 +296,7 @@ class GramResult:
                        dtype=np.complex128)
         for block in self.blocks:
             out[block.span, block.span] = block.gram
-        return out * math.exp(self.log_scale)
+        return out * _dense_factor(self.log_scale, 1.0)
 
     @property
     def stderr(self) -> np.ndarray:
@@ -300,7 +315,7 @@ class GramResult:
             width = block.transform.shape[1]
             out[block.span, col:col + width] = block.transform
             col += width
-        return out * math.exp(-0.5 * self.log_scale)
+        return out * _dense_factor(self.log_scale, -0.5)
 
     def basis(self) -> list[BivariatePolynomial]:
         return admissible_basis(self._arr, self.m, self.spec.max_degree)
@@ -502,8 +517,8 @@ def _phi_on_points(result: GramResult, x: np.ndarray, y: np.ndarray
     return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
 
 
-def _effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
-                    margin: int = 4) -> QuadratureSpec:
+def effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
+                   margin: int = 4) -> QuadratureSpec:
     """Keep the requested degree cutoff unless it admits nothing, in which
     case raise it to (minimal admissible degree + margin).  Slopes near 0
     are governed by the lowest admissible degree, so the raise is safe."""
@@ -540,7 +555,7 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                     n_points: int = 25, gram: GramResult | None = None
                     ) -> RaySlopes:
     """Average slope of phi_hat_m against log r along generic rays."""
-    spec = _effective_spec(arr, m, quad)
+    spec = effective_spec(arr, m, quad)
     result = gram if gram is not None else gram_matrix(arr, m, spec)
     r = np.geomspace(r_lo, r_hi, n_points)
     log_r = np.log(r)
@@ -602,8 +617,8 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
     Delta blows up at the origin."""
     t = np.asarray(t_grid, dtype=np.float64)
     x, y = curve(t)
-    spec1 = _effective_spec(arr, m1, quad)
-    spec2 = _effective_spec(arr, m2, quad)
+    spec1 = effective_spec(arr, m1, quad)
+    spec2 = effective_spec(arr, m2, quad)
     g1 = gram1 if gram1 is not None else gram_matrix(arr, m1, spec1)
     g2 = gram2 if gram2 is not None else gram_matrix(arr, m2, spec2)
     spec1, spec2 = g1.spec, g2.spec

@@ -441,19 +441,20 @@ def _require_finite(what: str, values, hint: str = "") -> None:
 
 def _numeric_guard(estimate, *pos, **kw):
     """Run a numeric estimate; a degree cutoff beyond the quadrature rule
-    or beyond exact float degrees is a usage error, not a traceback."""
-    from .bergman import DegreeCutoffError
+    or exact float degrees, or a Gram beyond floats, is a usage error."""
+    from .bergman import DegreeCutoffError, DenseScaleError
 
     try:
         return estimate(*pos, **kw)
-    except DegreeCutoffError as exc:
+    except (DegreeCutoffError, DenseScaleError) as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_bergman(args) -> int:
     import numpy as np
 
-    from .bergman import QuadratureSpec, curve_scan, gram_matrix, lelong_estimate
+    from .bergman import (QuadratureSpec, curve_scan, effective_spec,
+                          gram_matrix, lelong_estimate)
 
     arr = _resolve_arrangement(args)
     try:
@@ -513,7 +514,11 @@ def _cmd_bergman(args) -> int:
         raise UsageError("--m must be >= 1")
     if args.rays < 1:
         raise UsageError("--rays must be >= 1")
-    est = _numeric_guard(lelong_estimate, arr, args.m, quad, rays=args.rays)
+    # the audited Gram is the one the slopes use, built once
+    gram = _numeric_guard(gram_matrix, arr, args.m, effective_spec(
+        arr, args.m, quad)) if args.audit_gram else None
+    est = _numeric_guard(lelong_estimate, arr, args.m, quad, rays=args.rays,
+                         gram=gram)
     _require_finite(f"a ray slope of phi_{args.m}", est.per_ray)
     symbolic = lelong(entry(arr, args.m).cls)
 
@@ -526,11 +531,8 @@ def _cmd_bergman(args) -> int:
             "symbolic_lelong": str(symbolic),
             **est.to_dict(),
         }
-        if args.audit_gram:
-            result = gram_matrix(
-                arr, args.m, quad.with_max_degree(est.max_degree_used)
-            )
-            payload["gram"] = result.to_dict()
+        if gram is not None:
+            payload["gram"] = _numeric_guard(gram.to_dict)
         return payload
 
     def to_csv() -> list[list]:

@@ -37,6 +37,11 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def integer_ratio(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of `c`; an int makes no Fraction."""
+    return (c, 1) if isinstance(c, int) else to_fraction(c).as_integer_ratio()
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """An element of Q(i), stored as exact real and imaginary parts."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import WeightedArrangement
-from .gaussian import to_fraction
+from .gaussian import integer_ratio, to_fraction
 from .polynomials import BivariatePolynomial, HomogeneousForm, ZeroPolynomialError
 
 # Largest degree sum(b) + p of the generators `generators` expands.  The
@@ -46,14 +46,14 @@ class IdealDescriptor:
 
 def ideal_of(arr: WeightedArrangement, c) -> IdealDescriptor:
     """Compute J(c*phi) for a nonnegative rational c."""
-    c = to_fraction(c)
-    if c < 0:
+    n, d = integer_ratio(c)
+    if n < 0:
         raise ValueError("multiplier ideal parameter must be nonnegative")
-    # floor(c*a) as one integer division: n*a_num // (d*a_den), d*a_den > 0
-    n, d = c.numerator, c.denominator
-    b = tuple(n * a.numerator // (d * a.denominator) for a in arr.coeffs)
-    total = arr.total_mass
-    e = n * total.numerator // (d * total.denominator) - 1
+    # c = n/d and a_i = A_i/L, so floor(c*a_i) = n*A_i // (d*L), d*L > 0
+    weights, total, den = arr.scaled_weights
+    den *= d
+    b = tuple([n * a // den for a in weights])
+    e = n * total // den - 1
     p = max(0, e - sum(b))
     return IdealDescriptor(b=b, e=e, p=p)
 

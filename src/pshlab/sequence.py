@@ -123,21 +123,18 @@ def pattern_violations(arr: WeightedArrangement, k_max: int) -> list[PatternChec
     return out
 
 
-def _line_count_bound(arr: WeightedArrangement) -> int:
-    # Worst-case numerator of |delta(m) - point_mass|; 2 is exact for up to
-    # three lines, k-1 in general (one floor defect per extra summand).
-    return max(2, len(arr.lines) - 1)
-
-
 def deviation_within_bounds(arr: WeightedArrangement, ent: SequenceEntry) -> bool:
-    """Exact convergence certificate |gamma_i - a_i| <= 1/m and the matching
-    delta bound; holds for every genuine sequence entry."""
-    m = Fraction(ent.m)
-    for a, g in zip(arr.coeffs, ent.cls.gamma):
-        if not (0 <= a - g <= 1 / m):
-            return False
-    bound = Fraction(_line_count_bound(arr)) / m
-    return abs(ent.cls.delta - arr.point_mass) <= bound
+    """Exact convergence certificate 0 <= a_i - gamma_i <= 1/m and
+    |delta - d0| <= k/m, k = max(2, lines - 1) the worst-case numerator of
+    the delta defect (one floor defect per extra summand); holds for every
+    genuine entry.  Scaled by m*L*D for a_i = A_i/L and the class over D."""
+    weights, total, den = arr.scaled_weights
+    *gamma, delta = ent.cls.num
+    d, scale, m = ent.cls.den, den * ent.cls.den, ent.m
+    mass = total - sum(weights)  # the point mass d0, over L
+    return all(0 <= m * (a * d - g * den) <= scale
+               for a, g in zip(weights, gamma)) and \
+        m * abs(delta * den - mass * d) <= max(2, len(arr.lines) - 1) * scale
 
 
 @dataclass(frozen=True)

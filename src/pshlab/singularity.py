@@ -21,12 +21,12 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
 from .arrangement import Line, WeightedArrangement, hopf_charts
-from .gaussian import to_fraction
+from .gaussian import integer_ratio, to_fraction
 from .multiplier_ideal import IdealDescriptor
 
 
@@ -115,10 +115,26 @@ class SingularityClass:
         return {"gamma": [str(g) for g in self.gamma], "delta": str(self.delta)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonResult:
+    """The relation of s1 to s2, the compared `pair`; `witnesses` are built
+    on first access.  Equality and hash are those of (relation, witnesses)."""
+
     relation: Relation
-    witnesses: tuple[Witness, ...] = ()
+    pair: tuple[SingularityClass, SingularityClass] = field(repr=False)
+
+    @functools.cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        s1, s2 = self.pair
+        return tuple(w for w in (directed_violation(s1, s2),
+                                 directed_violation(s2, s1)) if w is not None)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ComparisonResult) and (
+            self.relation, self.witnesses) == (other.relation, other.witnesses)
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.witnesses))
 
     def to_dict(self) -> dict:
         return {
@@ -139,46 +155,34 @@ def class_of_ideal(arr: WeightedArrangement, ideal: IdealDescriptor, m
     The common line factors contribute b_i/m per line; the residual power
     of the maximal ideal contributes a radial exponent p/m.
     """
-    m = to_fraction(m)
-    if m <= 0:
+    n, d = integer_ratio(m)
+    if n <= 0:
         raise ValueError("approximation index m must be positive")
     return SingularityClass.scaled(arr.key, tuple(
-        [v * m.denominator for v in (*ideal.b, ideal.p)]), m.numerator)
+        [v * d for v in (*ideal.b, ideal.p)]), n)
 
 
-def _require_same_key(s1: SingularityClass, s2: SingularityClass) -> None:
+def _gaps(s1: SingularityClass, s2: SingularityClass) -> list[int]:
+    """The exponents of s1 minus those of s2 (delta last), over the common
+    denominator s1.den * s2.den."""
     if s1.key != s2.key:
         raise ArrangementMismatchError(
-            "classes live over different line arrangements"
-        )
-
-
-def _violation(s1: SingularityClass, s2: SingularityClass,
-               lhs: list[int], rhs: list[int]) -> Witness | None:
-    """Why psi1 <= psi2 + O(1) fails, given the exponents of s1 and s2
-    scaled to one common denominator (delta last)."""
-    for i in range(len(lhs) - 1):
-        if lhs[i] < rhs[i]:
-            return Witness(kind="gamma", index=i,
-                           first=Fraction(s1.num[i], s1.den),
-                           second=Fraction(s2.num[i], s2.den))
-    if sum(lhs) < sum(rhs):
-        return Witness(kind="total", index=None, first=s1.total,
-                       second=s2.total)
-    return None
-
-
-def _cross_scaled(s1: SingularityClass, s2: SingularityClass
-                  ) -> tuple[list[int], list[int]]:
-    """Both numerator vectors over the common denominator s1.den * s2.den."""
-    _require_same_key(s1, s2)
-    d1, d2 = s1.den, s2.den
-    return [n * d2 for n in s1.num], [n * d1 for n in s2.num]
+            "classes live over different line arrangements")
+    return [a * s2.den - b * s1.den for a, b in zip(s1.num, s2.num)]
 
 
 def directed_violation(s1: SingularityClass, s2: SingularityClass) -> Witness | None:
     """Why psi1 <= psi2 + O(1) fails, or None if it holds."""
-    return _violation(s1, s2, *_cross_scaled(s1, s2))
+    *gaps, delta_gap = _gaps(s1, s2)
+    for i, gap in enumerate(gaps):
+        if gap < 0:
+            return Witness(kind="gamma", index=i,
+                           first=Fraction(s1.num[i], s1.den),
+                           second=Fraction(s2.num[i], s2.den))
+    if sum(gaps) + delta_gap < 0:
+        return Witness(kind="total", index=None, first=s1.total,
+                       second=s2.total)
+    return None
 
 
 def more_singular_or_equal(s1: SingularityClass, s2: SingularityClass) -> bool:
@@ -187,17 +191,19 @@ def more_singular_or_equal(s1: SingularityClass, s2: SingularityClass) -> bool:
 
 
 def compare(s1: SingularityClass, s2: SingularityClass) -> ComparisonResult:
-    """Full comparison of s1 relative to s2, with witnesses on failure."""
-    lhs, rhs = _cross_scaled(s1, s2)
-    if lhs == rhs:  # otherwise some coordinate or the total differs
-        return ComparisonResult(Relation.EQUIVALENT)
-    forward = _violation(s1, s2, lhs, rhs)
-    reverse = _violation(s2, s1, rhs, lhs)
-    if forward is None:
-        return ComparisonResult(Relation.FIRST_MORE_SINGULAR, (reverse,))
-    if reverse is None:
-        return ComparisonResult(Relation.SECOND_MORE_SINGULAR, (forward,))
-    return ComparisonResult(Relation.INCOMPARABLE, (forward, reverse))
+    """Full comparison of s1 relative to s2; the witnesses of a failed
+    direction are built only when read."""
+    # psi1 <= psi2 fails iff a gamma gap or the total gap is negative
+    *gaps, delta_gap = _gaps(s1, s2)
+    total = sum(gaps) + delta_gap
+    forward_fails = total < 0 or min(gaps, default=0) < 0
+    if total > 0 or max(gaps, default=0) > 0:  # psi2 <= psi1 fails
+        relation = Relation.INCOMPARABLE if forward_fails else \
+            Relation.FIRST_MORE_SINGULAR
+    else:  # when neither direction fails, every gap is 0, delta's too
+        relation = Relation.SECOND_MORE_SINGULAR if forward_fails else \
+            Relation.EQUIVALENT
+    return ComparisonResult(relation, (s1, s2))
 
 
 def lelong(s: SingularityClass) -> Fraction:
@@ -272,10 +278,8 @@ def boundedness_probe(arr: WeightedArrangement, s1: SingularityClass,
     some approach family has slope <= -1/2 against log r; see the tests for
     the pair generator that respects this.
     """
-    _require_same_key(s1, s2)
+    *dg, dd = [gap / (s1.den * s2.den) for gap in _gaps(s1, s2)]
     geometry = _probe_geometry(arr, decades, tuple(offsets), rays, seed)
-    dg = [float(a - b) for a, b in zip(s1.gamma, s2.gamma)]
-    dd = float(s1.delta - s2.delta)
     maxima = []
     for pts in geometry:
         maxima.append(max(

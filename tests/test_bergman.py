@@ -186,7 +186,7 @@ def test_basis_at_m_1000():
     # share.  J(1000 phi) = (xy(x+y))^666 * (x, y), so the first basis
     # element is x^667 y^666 (x+y)^666 with binomial coefficients.
     quad = QuadratureSpec(12, 100_000, 42)
-    result = gram_matrix(THEOREM1, 1000, bergman._effective_spec(
+    result = gram_matrix(THEOREM1, 1000, bergman.effective_spec(
         THEOREM1, 1000, quad))
     basis = result.basis()
     assert len(basis) == result.basis_size > 1
@@ -283,6 +283,18 @@ def test_gram_audit_dict_round_trip():
     data = result.to_dict()
     assert data["m"] == 3 and len(data["monomials"]) == result.basis_size
     assert data["effective_rank"] <= result.basis_size
+
+
+def test_dense_views_refuse_a_scale_beyond_floats():
+    # x + 2^1998 y, weight 99/100: exp(log_scale) underflows to 0 and
+    # exp(-log_scale/2) overflows, so neither dense view exists
+    arr = new_arrangement([(1, 0), (Fraction(1, 2 ** 999), 2 ** 999)],
+                          [Fraction(1, 2), Fraction(99, 100)])
+    result = gram_matrix(arr, 1, QuadratureSpec(12, 10_000, 42))
+    assert result.log_scale < -2700
+    for view in ("gram", "transform"):
+        with pytest.raises(bergman.DenseScaleError, match="log_scale"):
+            getattr(result, view)
 
 
 # -- the deterministic Hopf rule ------------------------------------------

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -396,6 +397,41 @@ def test_bergman_huge_line_coefficient(data, flags, key, want, tmp_path):
         assert abs(out[key] - want) <= 0.05
 
 
+def test_bergman_audit_gram_beyond_float_scale(tmp_path, capsys):
+    # x + 2^1998 y with weight 99/100 has log_scale -2742 at m = 1: the
+    # audited Gram once printed as all zeros (exp underflow) under exit 0
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({**HUGE_NORM, "coeffs": ["1/2", "99/100"]}),
+                    encoding="utf-8")
+    flags = ["bergman", "--file", str(path), "--m", "1", "--audit-gram"]
+    rc = main([*flags, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "log_scale" in err
+    assert len(err.splitlines()) == 1
+    # the slopes need no dense view: the default report is unchanged
+    assert main([*flags, "--format", "md"]) == 0
+    assert capsys.readouterr().out.startswith("lelong(phi_1) ~ ")
+
+
+def test_bergman_audit_gram_is_built_once(monkeypatch, capsys):
+    from pshlab import bergman
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return real(*args, **kwargs)
+
+    real = bergman.gram_matrix
+    monkeypatch.setattr(bergman, "gram_matrix", counted)
+    rc = main(["bergman", "--preset", "theorem1", "--m", "4", "--rays", "4",
+               "--audit-gram", "--no-timestamp"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0 and built == [4]
+    assert payload["gram"]["max_degree"] == payload["max_degree_used"]
+
+
 def test_bergman_basis_degree_cap(tmp_path, monkeypatch, capsys):
     # a weight of 2^999 puts the basis near degree 3 * 2^999 at m = 3:
     # refused by its degree before any list or array is built
@@ -517,8 +553,10 @@ def test_sequence_formats_agree(capsys):
     assert parsed["md"] == parsed["json"]
 
 
-# Stdout of three reports in md and csv.  The renderers in cli.py must
-# reproduce these bytes exactly.
+# Stdout of three reports in md and csv, and of two JSON reports whose
+# comparisons carry witnesses (the JSON stored under tests/golden).  The
+# renderers in cli.py must reproduce these bytes exactly.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_REPORTS = {
     ("sequence --preset theorem1 --m-max 7 --indices 2,4,8", "md"): """\
 | m | b | p | gamma | delta | nu | vs previous |
@@ -569,6 +607,11 @@ claim,passed
 adjacent-violation-3-4,True
 pow2-subsequence-decreasing,True
 """,
+    ("sequence --preset theorem1 --m-max 7 --indices 2,4,8 --no-timestamp",
+     "json"): (GOLDEN_DIR / "sequence_theorem1_m7.json").read_text(
+         encoding="utf-8"),
+    ("compare --preset theorem1 --m1 4 --m2 3 --no-timestamp", "json"): (
+        GOLDEN_DIR / "compare_theorem1_4_3.json").read_text(encoding="utf-8"),
 }
 
 

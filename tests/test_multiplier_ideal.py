@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pshlab.arrangement import new_arrangement, preset
+from pshlab.arrangement import MAX_RATIONAL_BITS, new_arrangement, preset
 from pshlab.multiplier_ideal import (
     IdealDescriptor,
     contains,
@@ -15,6 +16,7 @@ from pshlab.multiplier_ideal import (
 )
 from pshlab.polynomials import BivariatePolynomial as P
 from pshlab.polynomials import ZeroPolynomialError
+from pshlab.singularity import SingularityClass, class_of_ideal
 
 THEOREM1 = preset("theorem1")
 X, Y = P.x(), P.y()
@@ -194,3 +196,34 @@ def test_subadditivity_and_nonprimitive_lines(others, weights, mass, m1, m2,
             q = h.quotient(arr.lines[0].integer_form)
             assert q is not None
             assert not contains(arr, big, X * q.to_polynomial())
+
+
+CAP = 2 ** MAX_RATIONAL_BITS - 1  # the largest numerator or denominator
+any_weight = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=3, max_denominator=12),
+    st.builds(Fraction, st.integers(0, CAP), st.integers(CAP // 2, CAP)))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(st.lists(any_weight, min_size=1, max_size=4), any_weight,
+       st.integers(0, 60),
+       st.fractions(min_value=0, max_value=60, max_denominator=50))
+def test_ideal_of_matches_fraction_floors(weights, mass, m, c):
+    # the definition: b_i = floor(c*a_i), e = floor(c*T) - 1, with c as an
+    # int, a Fraction or a "p/q" string, on zero, mixed and 1000-bit weights
+    arr = new_arrangement([(1, k) for k in range(len(weights))], weights,
+                          mass)
+    for given_c, exact in ((m, Fraction(m)), (c, c),
+                           (f"{c.numerator}/{c.denominator}", c)):
+        b = tuple(math.floor(exact * a) for a in weights)
+        e = math.floor(exact * arr.total_mass) - 1
+        ideal = ideal_of(arr, given_c)
+        assert ideal == IdealDescriptor(b=b, e=e, p=max(0, e - sum(b)))
+    if m:
+        ideal = ideal_of(arr, m)
+        cls = class_of_ideal(arr, ideal, m)
+        assert cls == class_of_ideal(arr, ideal, Fraction(m))
+        assert cls == SingularityClass(
+            key=arr.key, gamma=[Fraction(v, m) for v in ideal.b],
+            delta=Fraction(ideal.p, m))

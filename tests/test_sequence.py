@@ -189,6 +189,26 @@ def test_monotonicity_report_renders():
     assert data["violations"] == [[3, 4], [6, 7]]
 
 
+def test_walk_builds_witnesses_only_when_read(monkeypatch):
+    from pshlab import singularity
+
+    built = []
+
+    class CountedWitness(singularity.Witness):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["kind"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(singularity, "Witness", CountedWitness)
+    report = monotonicity_report(THEOREM1, 2000)
+    assert len(report.violations) == 666 and built == []
+    # step (3, 4): phi_4 vs phi_3 is second_more_singular, one witness
+    step = report.comparisons[2]
+    assert [str(w) for w in step.witnesses] == ["gamma[0]: 1/2 < 2/3"]
+    assert built == ["gamma"]
+    assert step.witnesses is step.witnesses and built == ["gamma"]
+
+
 def test_verify_paper_all_claims():
     report = verify_paper()
     assert report.all_passed

@@ -9,15 +9,17 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 20 commands in each of the formats json, csv and md (60 pairs): ``lct``,
+- 21 commands in each of the formats json, csv and md (63 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
   ray slopes with ``--audit-gram``), on presets, on a three-line file
   arrangement with a Gaussian-rational line and on three files with huge
   coefficients: the lines x and x + 10^300 y (weights 3/4, then 99/100 on
-  the second line) and the lines x and x + 2^1998 y.  A format a command
-  does not have must fail the same way on both sides;
+  the second line) and the lines x and x + 2^1998 y; and ``--audit-gram``
+  at m = 1 on x, x + 2^1998 y with weight 99/100, whose Gram scale leaves
+  the float range.  A format a command does not have must fail the same
+  way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - ``demos/03_kernel_crosscheck.py``.
 
@@ -61,9 +63,13 @@ HUGE_FILES = {
     "HUGE_NORM": {"lines": [["1", "0"], ["1/" + str(2 ** 999), str(2 ** 999)]],
                   "coeffs": ["1/2", "3/4"]},
 }
+# x + 2^1998 y with weight 99/100: log_scale -2742 at m = 1, beyond the
+# float range of the dense Gram views (audited only, at m = 1)
+EXTREME_SCALE = {**HUGE_FILES["HUGE_NORM"], "coeffs": ["1/2", "99/100"]}
 
 
-def cases(arrangement_file: str, huge_files: list[str]) -> list[list[str]]:
+def cases(arrangement_file: str, huge_files: list[str],
+          extreme_file: str) -> list[list[str]]:
     f = ["--file", arrangement_file]
     t = ["--preset", "theorem1"]
     fast = ["--samples", "10000", "--points", "9"]
@@ -88,7 +94,9 @@ def cases(arrangement_file: str, huge_files: list[str]) -> list[list[str]]:
          "--audit-gram"],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
     ] + [["bergman", "--file", huge, "--m", "2", "--rays", "3",
-          "--samples", "10000"] for huge in huge_files]
+          "--samples", "10000"] for huge in huge_files] + [
+        ["bergman", "--file", extreme_file, "--m", "1", "--rays", "3",
+         "--samples", "10000", "--audit-gram"]]
     out = [[*cmd, "--format", fmt] for cmd in commands for fmt in FORMATS]
     out += [["sequence", *t, "--m-max", "3000", "--format", fmt]
             for fmt in FORMATS]
@@ -115,10 +123,12 @@ def main(argv: list[str]) -> int:
         path = Path(tmp) / "arrangement.json"
         path.write_text(json.dumps(FILE_ARRANGEMENT), encoding="utf-8")
         huge = {}
-        for name, data in HUGE_FILES.items():
+        for name, data in {**HUGE_FILES, "EXTREME_SCALE": EXTREME_SCALE
+                           }.items():
             huge[name] = Path(tmp) / f"{name.lower()}.json"
             huge[name].write_text(json.dumps(data), encoding="utf-8")
-        all_cases = cases(str(path), [str(p) for p in huge.values()])
+        all_cases = cases(str(path), [str(huge[name]) for name in HUGE_FILES],
+                          str(huge["EXTREME_SCALE"]))
         for argv_ in all_cases:
             label = " ".join(argv_[2:] if argv_[0] == "-m" else argv_)
             label = label.replace(str(path), "FILE").replace(str(ROOT), ".")
