@@ -198,31 +198,27 @@ class HopfChart:
 def _chart(lines: tuple[Line, ...], a: Gaussian, b: Gaussian) -> HopfChart:
     """The chart around the point of the line a x + b y (Gaussian-integer
     coefficients), with v = (b, -a) and n = (conj a, conj b).  On
-    alpha v + beta n, a line c x + d y (its Gaussian-integer form) is
-    alpha ell(v) + beta ell(n) with ell(v) = c b - d a and ell(n) =
-    c conj(a) + d conj(b), exact; its own line has ell(v) = 0.  The
-    spacing comes from the exact squared chordal distances
+    alpha v + beta n, a line ell is alpha ell(v) + beta ell(n), its form
+    substituted exactly (up to a positive integer factor, which no pair
+    or ratio below sees); its own line has ell(v) = 0.  The spacing comes
+    from the exact squared chordal distances
     |ell(v)|^2 / (|ell(v)|^2 + |ell(n)|^2): close lines do not cancel."""
     (ar, ai), (br, bi) = a, b
-    values = []
-    for line in lines:
-        (cr, ci), (dr, di) = line.integer_form.coeffs
-        values.append(((cr * br - ci * bi - dr * ar + di * ai,
-                        cr * bi + ci * br - dr * ai - di * ar),
-                       (cr * ar + ci * ai + dr * br + di * bi,
-                        ci * ar - cr * ai + di * br - dr * bi)))
+    v, n = ((br, bi), (-ar, -ai)), ((ar, -ai), (br, -bi))
+    chart_x = HomogeneousForm(1, (v[0], n[0]))
+    chart_y = HomogeneousForm(1, (v[1], n[1]))
+    values = [line.integer_form.substitute(chart_x, chart_y).coeffs
+              for line in lines]
     near = min((Fraction(pr * pr + pi * pi,
                          pr * pr + pi * pi + qr * qr + qi * qi)
                 for (pr, pi), (qr, qi) in values if pr or pi),
                default=Fraction(1))
     _, exp = math.frexp(max(float(near) / 4.0, HOPF_MIN_S1))
-    v, n = ((br, bi), (-ar, -ai)), ((ar, -ai), (br, -bi))
     return HopfChart(
         point=tuple(unit_complex(v)), normal=tuple(unit_complex(n)),
         spacing=near, s1=2.0 ** (exp - 1),
         pairs=tuple(tuple(unit_complex(pair)) for pair in values),
-        chart_x=HomogeneousForm(1, (v[0], n[0])),
-        chart_y=HomogeneousForm(1, (v[1], n[1])))
+        chart_x=chart_x, chart_y=chart_y)
 
 
 @functools.lru_cache(maxsize=16)
@@ -299,14 +295,14 @@ def preset(name: str) -> WeightedArrangement:
 MAX_RATIONAL_BITS = 1000
 
 
-def _check_size(value) -> None:
-    """Reject a file scalar whose numerator or denominator exceeds
+def _file_scalar(value):
+    """An exact number from a file: an integer or a string such as "p/q",
+    never a boolean, with no numerator or denominator above
     MAX_RATIONAL_BITS; an exponent form like "1e100000" is refused from
     its exponent, before the huge integer is built."""
-    if isinstance(value, (list, tuple)):
-        for part in value:
-            _check_size(part)
-        return
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ArrangementError(
+            f"{value!r} is not an integer or a number string like \"2/3\"")
     if isinstance(value, str):
         _, _, exponent = value.strip().lower().partition("e")
         if exponent and abs(int(exponent)) > MAX_RATIONAL_BITS:
@@ -318,14 +314,31 @@ def _check_size(value) -> None:
         raise ArrangementError(
             f"a numerator or denominator of {value!r} exceeds "
             f"{MAX_RATIONAL_BITS} bits")
+    return value
+
+
+def _file_array(value, what: str, length: int | None = None) -> list:
+    """`value` if it is a JSON array (of `length` entries, if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise ArrangementError(f"{what} must be a JSON array{size}")
+    return value
+
+
+def _file_coefficient(value):
+    """A line coefficient: a number or an [re, im] pair of numbers."""
+    if isinstance(value, list):
+        return tuple(map(_file_scalar, _file_array(value, "an [re, im] pair", 2)))
+    return _file_scalar(value)
 
 
 def arrangement_from_dict(data: dict) -> WeightedArrangement:
     try:
-        lines = [(pair[0], pair[1]) for pair in data["lines"]]
-        point_mass = data.get("point_mass", 0)
-        _check_size([lines, data["coeffs"], point_mass])
-        return new_arrangement(lines, data["coeffs"], point_mass)
+        lines = [tuple(map(_file_coefficient, _file_array(line, "a line", 2)))
+                 for line in _file_array(data["lines"], '"lines"')]
+        coeffs = list(map(_file_scalar, _file_array(data["coeffs"], '"coeffs"')))
+        point_mass = _file_scalar(data.get("point_mass", 0))
+        return new_arrangement(lines, coeffs, point_mass)
     except ArrangementError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexError) as exc:

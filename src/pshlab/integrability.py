@@ -53,23 +53,6 @@ class IntegrabilityVerdict:
     undecided: bool                  # some Richardson spread above MAX_SPREAD
 
 
-def _chart_coefficients(form: HomogeneousForm, chart_x: HomogeneousForm,
-                        chart_y: HomogeneousForm) -> np.ndarray:
-    """g_k with form(chart_x, chart_y) = sum_k g_k alpha^(d-k) beta^k, for
-    linear forms chart_x, chart_y in (alpha, beta).  The substitution is
-    exact, so a zero of order k at the line point gives g_0 = ... =
-    g_(k-1) = 0.0 and no rounding floor hides how fast f_d vanishes."""
-    d = form.degree
-    total = [(0, 0)] * (d + 1)
-    for j, (cr, ci) in enumerate(form.coeffs):
-        if not (cr or ci):
-            continue
-        term = chart_x.power(d - j) * chart_y.power(j)
-        total = [(tr + cr * ur - ci * ui, ti + cr * ui + ci * ur)
-                 for (tr, ti), (ur, ui) in zip(total, term.coeffs)]
-    return np.array(scaled_complex(total))
-
-
 @functools.lru_cache(maxsize=16)
 def _charts(arr: WeightedArrangement) -> tuple[tuple, ...]:
     """Per line point, what every component and every multiple c share,
@@ -105,7 +88,9 @@ def _line_margin(form: HomogeneousForm, chart: tuple, c: float
     the slopes of the log angular mean between levels (s quartered at each
     step), then Richardson's (4 next - previous) / 3."""
     log_s, log_alpha, z, log_weight, chart_x, chart_y = chart
-    g = _chart_coefficients(form, chart_x, chart_y)
+    # exact, so a zero of order k at the line point gives g_0 = ... =
+    # g_(k-1) = 0.0 and no rounding floor hides how fast f_d vanishes
+    g = np.array(scaled_complex(form.substitute(chart_x, chart_y).coeffs))
     # f_d = alpha^d z^k sum_i g_(k+i) z^i; z^k in logs cannot underflow
     k = int(np.flatnonzero(g)[0])
     g = g[k:]

@@ -88,7 +88,12 @@ def generators(arr: WeightedArrangement, ideal: IdealDescriptor
 
 
 def generator_strings(arr: WeightedArrangement, ideal: IdealDescriptor) -> list[str]:
-    """Factored human-readable generators, e.g. ``(x*y*(x+y))^2 * x``."""
+    """Factored human-readable generators, e.g. ``(x*y*(x+y))^2 * x``; one
+    per monomial, so p above MAX_GENERATOR_DEGREE is refused."""
+    if ideal.p > MAX_GENERATOR_DEGREE:
+        raise ExpansionTooLargeError(
+            f"the ideal has p + 1 = {ideal.p + 1} generators, p above "
+            f"MAX_GENERATOR_DEGREE = {MAX_GENERATOR_DEGREE}")
     labels = [line.label() for line in arr.lines]
     wrapped = [f"({lab})" if "+" in lab else lab for lab in labels]
     powers = [p for p in ideal.b]

@@ -1,14 +1,13 @@
 """Exact bivariate polynomials over Q(i).
 
 The only nontrivial algebra the package needs is exact arithmetic, exact
-division by a linear form through the origin, and the multiplicity at the
-origin (lowest total degree).  `BivariatePolynomial` is the user-facing
-sparse type: a dictionary mapping exponent pairs to Gaussian-rational
-coefficients, zero coefficients never stored.  `HomogeneousForm` is the
-kernel behind generators and membership: one homogeneous form as a dense
-vector of Gaussian-integer numerators over one integer denominator, so
-that products of line powers and divisions by lines run on plain Python
-integers.
+division by a linear form through the origin, exact substitution of linear
+forms, and the multiplicity at the origin (lowest total degree).
+`HomogeneousForm` is the kernel: one homogeneous form as a dense vector of
+Gaussian-integer numerators over one integer denominator, so that all of
+it runs on plain Python integers.  `BivariatePolynomial`, the user-facing
+type, holds its nonzero homogeneous components as such forms; Gaussian
+rationals are built only when its terms are read.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gaussian import GaussianRational, ONE
 
@@ -29,20 +28,30 @@ class ZeroPolynomialError(ValueError):
 
 
 class BivariatePolynomial:
-    """A polynomial in x, y with Gaussian-rational coefficients."""
+    """A polynomial in x, y with Gaussian-rational coefficients, held as its
+    nonzero, reduced homogeneous components by ascending degree."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_forms",)
 
-    def __init__(self, terms: Mapping[Term, GaussianRational] | None = None):
-        clean: dict[Term, GaussianRational] = {}
-        if terms:
-            for (a, b), coeff in terms.items():
-                coeff = GaussianRational.of(coeff)
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent in term {(a, b)}")
-                if not coeff.is_zero:
-                    clean[(int(a), int(b))] = coeff
-        self._terms = clean
+    def __init__(self, terms: Mapping[Term, object] | None = None):
+        rows: dict[int, dict[int, object]] = {}
+        for (a, b), coeff in (terms or {}).items():
+            if a < 0 or b < 0:
+                raise ValueError(f"negative exponent in term {(a, b)}")
+            rows.setdefault(int(a) + int(b), {})[int(b)] = coeff
+        self._forms = BivariatePolynomial._of(
+            HomogeneousForm.of(d, row) for d, row in rows.items())._forms
+
+    @classmethod
+    def _of(cls, forms: Iterable["HomogeneousForm"]) -> "BivariatePolynomial":
+        """The sum of `forms`, added per degree; zero sums are left out."""
+        sums: dict[int, HomogeneousForm] = {}
+        for f in forms:
+            sums[f.degree] = sums[f.degree] + f if f.degree in sums else f
+        out = cls.__new__(cls)
+        out._forms = {d: sums[d] for d in sorted(sums)
+                      if any(map(any, sums[d].coeffs))}
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -56,7 +65,7 @@ class BivariatePolynomial:
 
     @classmethod
     def monomial(cls, a: int, b: int, coeff=1) -> "BivariatePolynomial":
-        return cls({(a, b): GaussianRational.of(coeff)})
+        return cls({(a, b): coeff})
 
     @classmethod
     def x(cls) -> "BivariatePolynomial":
@@ -70,52 +79,44 @@ class BivariatePolynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._forms
 
     def terms(self) -> Iterator[tuple[Term, GaussianRational]]:
-        """Terms in graded order (total degree, then descending x power)."""
-        for key in sorted(self._terms, key=lambda t: (t[0] + t[1], -t[0])):
-            yield key, self._terms[key]
+        """Terms in graded order (total degree, then descending x power);
+        the Gaussian rationals are built as they are read."""
+        for d, form in self._forms.items():
+            for j, (re, im) in enumerate(form.coeffs):
+                if re or im:
+                    yield (d - j, j), GaussianRational(
+                        Fraction(re, form.den), Fraction(im, form.den))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(a + b for a, b in self._terms)
+        return max(self._forms, default=-1)
 
     def multiplicity(self) -> int:
         """Vanishing order at the origin (lowest total degree)."""
-        if not self._terms:
+        if not self._forms:
             raise ZeroPolynomialError("zero polynomial has no multiplicity")
-        return min(a + b for a, b in self._terms)
+        return min(self._forms)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return BivariatePolynomial(out)
+        return BivariatePolynomial._of([*self._forms.values(),
+                                        *other._forms.values()])
 
     def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         return self + (-other)
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: -c for k, c in self._terms.items()})
+        return self * -1
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
-            scalar = GaussianRational.of(other)
-            return BivariatePolynomial({k: c * scalar for k, c in self._terms.items()})
-        out: dict[Term, GaussianRational] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2)
-                prod = c1 * c2
-                acc = out.get(key)
-                out[key] = prod if acc is None else acc + prod
-        return BivariatePolynomial(out)
+            other = BivariatePolynomial({(0, 0): other})
+        return BivariatePolynomial._of(f * g for f in self._forms.values()
+                                       for g in other._forms.values())
 
     __rmul__ = __mul__
 
@@ -130,26 +131,21 @@ class BivariatePolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._forms == other._forms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(tuple(self._forms.values()))
 
     def homogeneous_components(self) -> list["HomogeneousForm"]:
         """The nonzero homogeneous components, by ascending degree."""
-        by_degree: dict[int, dict[int, GaussianRational]] = {}
-        for (a, b), coeff in self._terms.items():
-            by_degree.setdefault(a + b, {})[b] = coeff
-        return [HomogeneousForm.of(d, row) for d, row in sorted(by_degree.items())]
+        return list(self._forms.values())
 
     # -- numeric evaluation -------------------------------------------
 
     def evaluate(self, x, y):
         """Evaluate at complex scalars or numpy arrays."""
-        total = 0
-        for (a, b), coeff in self._terms.items():
-            total = total + complex(coeff) * (x ** a) * (y ** b)
-        return total
+        return sum(complex(coeff) * (x ** a) * (y ** b)
+                   for (a, b), coeff in self.terms())
 
     # -- serialization / printing --------------------------------------
 
@@ -158,11 +154,8 @@ class BivariatePolynomial:
 
     @classmethod
     def from_term_list(cls, data: Iterable) -> "BivariatePolynomial":
-        terms: dict[Term, GaussianRational] = {}
-        for item in data:
-            a, b, re, im = item
-            terms[(int(a), int(b))] = GaussianRational(Fraction(re), Fraction(im))
-        return cls(terms)
+        return cls({(int(a), int(b)): GaussianRational(Fraction(re), Fraction(im))
+                    for a, b, re, im in data})
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -186,6 +179,19 @@ class BivariatePolynomial:
 
 
 # -- homogeneous forms over Gaussian integers --------------------------------
+
+
+def _product(p: Sequence[Gaussian], q: Sequence[Gaussian]) -> list[Gaussian]:
+    """The coefficients of the product of two forms, by convolution."""
+    out_r = [0] * (len(p) + len(q) - 1)
+    out_i = [0] * len(out_r)
+    for i, (a, b) in enumerate(p):
+        if not (a or b):
+            continue
+        for j, (c, d) in enumerate(q, i):
+            out_r[j] += a * c - b * d
+            out_i[j] += a * d + b * c
+    return list(zip(out_r, out_i))
 
 
 def _gauss_div(a: Gaussian, b: Gaussian) -> Gaussian | None:
@@ -294,18 +300,18 @@ class HomogeneousForm:
                 sr, si = sr * ar - si * ai, sr * ai + si * ar
         return HomogeneousForm._reduced(n, coeffs, self.den ** n)
 
+    def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
+        if other.degree != self.degree:
+            raise ValueError("forms of different degrees do not add to a form")
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return HomogeneousForm._reduced(self.degree, [
+            (ar * s + br * t, ai * s + bi * t)
+            for (ar, ai), (br, bi) in zip(self.coeffs, other.coeffs)], den)
+
     def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        p, q = self.coeffs, other.coeffs
-        out_r = [0] * (len(p) + len(q) - 1)
-        out_i = [0] * len(out_r)
-        for i, (a, b) in enumerate(p):
-            if not (a or b):
-                continue
-            for j, (c, d) in enumerate(q, i):
-                out_r[j] += a * c - b * d
-                out_i[j] += a * d + b * c
         return HomogeneousForm._reduced(
-            self.degree + other.degree, zip(out_r, out_i),
+            self.degree + other.degree, _product(self.coeffs, other.coeffs),
             self.den * other.den)
 
     def times_monomial(self, u: int, v: int) -> "HomogeneousForm":
@@ -349,9 +355,19 @@ class HomogeneousForm:
             self.degree - times, coeffs,
             self.den * (gr * gr + gi * gi) ** times)
 
+    def substitute(self, fx: "HomogeneousForm", fy: "HomogeneousForm"
+                   ) -> "HomogeneousForm":
+        """self(fx, fy) for linear forms fx, fy over Z[i] (den 1) in new
+        variables, exact, by Horner's rule: h = c_0, then
+        h = h * fx + c_j * fy^j for j = 1..degree."""
+        if (fx.degree, fx.den, fy.degree, fy.den) != (1, 1, 1, 1):
+            raise ValueError("substitute takes linear forms over Z[i]")
+        h, power = list(self.coeffs[:1]), [(1, 0)]
+        for cr, ci in self.coeffs[1:]:
+            h, power = _product(h, fx.coeffs), _product(power, fy.coeffs)
+            h = [(hr + cr * pr - ci * pi, hi + cr * pi + ci * pr)
+                 for (hr, hi), (pr, pi) in zip(h, power)]
+        return HomogeneousForm._reduced(self.degree, h, self.den)
+
     def to_polynomial(self) -> BivariatePolynomial:
-        d, den = self.degree, self.den
-        return BivariatePolynomial({
-            (d - j, j): GaussianRational(Fraction(re, den), Fraction(im, den))
-            for j, (re, im) in enumerate(self.coeffs) if re or im
-        })
+        return BivariatePolynomial._of([self])

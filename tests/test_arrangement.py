@@ -162,6 +162,28 @@ def test_parse_errors(tmp_path):
         arrangement_from_dict({"lines": "nope", "coeffs": []})
 
 
+X_LINE = [["1", "0"], ["0", "0"]]
+
+
+# Each record loaded before the file reader required JSON arrays and
+# refused booleans: strings and objects iterated as lists, a third entry
+# of a line was dropped, and a boolean read as 0 or 1.
+@pytest.mark.parametrize("data", [
+    {"lines": ["10", "01"], "coeffs": "12"},
+    {"lines": [X_LINE], "coeffs": "1"},
+    {"lines": {"10": 1}, "coeffs": ["1"]},
+    {"lines": ["10"], "coeffs": ["1"]},
+    {"lines": [["1", "0", "5"]], "coeffs": ["1"]},
+    {"lines": [X_LINE], "coeffs": ["1"], "point_mass": False},
+    {"lines": [X_LINE], "coeffs": [True]},
+    {"lines": [[True, "0"]], "coeffs": ["1"]},
+    {"lines": [[["1", False], "0"]], "coeffs": ["1"]},
+])
+def test_file_reader_requires_arrays_and_refuses_booleans(data):
+    with pytest.raises(ArrangementError):
+        arrangement_from_dict(data)
+
+
 def test_unknown_preset():
     with pytest.raises(ArrangementError):
         preset("missing")

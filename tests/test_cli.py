@@ -184,6 +184,29 @@ def test_analyze_refuses_huge_generator_expansion(tmp_path):
         assert done.returncode == 0 and done.stdout, args
 
 
+def test_analyze_md_refuses_too_many_generators(tmp_path):
+    # One line x of weight 1 with point mass M has p = M - 1 at m = 1, and
+    # the md table lists all p + 1 generator strings: M = 10^6 printed
+    # 25 MB and M = 10^12 ran until killed.  The timeout makes a hang fail.
+    def analyze_md(mass):
+        path = tmp_path / f"mass{mass}.json"
+        path.write_text(json.dumps({"lines": [[["1", "0"], ["0", "0"]]],
+                                    "coeffs": ["1"], "point_mass": mass}),
+                        encoding="utf-8")
+        return run_cli(["analyze", "--file", str(path), "--m", "1",
+                        "--format", "md", "--no-timestamp"], timeout=60)
+
+    at_cap = analyze_md("1001")  # p = 1000 = MAX_GENERATOR_DEGREE
+    assert at_cap.returncode == 0
+    _, ideal, gens, *_ = at_cap.stdout.splitlines()[-1].split(" | ")
+    assert ideal == "[1]; 1000" and len(gens.split(", ")) == 1001
+    for mass in ("1002", str(10 ** 12)):
+        proc = analyze_md(mass)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+        assert "MAX_GENERATOR_DEGREE" in proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="Python < 3.11 has no int-to-str digit limit")
 def test_analyze_json_refuses_unprintable_coefficients(tmp_path):

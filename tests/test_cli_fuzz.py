@@ -1,6 +1,8 @@
-"""Fuzz the exact subcommands of the CLI over small arrangement files."""
+"""Fuzz the exact subcommands of the CLI over small arrangement files,
+malformed arrangement files and claim filters."""
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -9,6 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from pshlab.cli import main
+from pshlab.sequence import CLAIM_ALIASES, CLAIMS
 
 # x, y, x+y, x-y, x+(1/2+i/3)y, x+(i/2)y, and 2x+2y (a duplicate of x+y)
 LINES = [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]],
@@ -37,18 +40,90 @@ command = st.one_of(
 )
 
 
+
+
+@st.composite
+def malformed(draw):
+    """A valid record with one fault: a string or an object where an array
+    belongs, a boolean, a float or null for a number, a line or an
+    [re, im] pair of the wrong length, or a missing key."""
+    data = copy.deepcopy(draw(arrangement))
+    line = draw(st.sampled_from(data["lines"]))
+    fault = draw(st.sampled_from(["array", "line", "pair", "number",
+                                  "missing"]))
+    if fault == "array":
+        key = draw(st.sampled_from(["lines", "coeffs"]))
+        data[key] = draw(st.sampled_from([
+            json.dumps(data[key]), "".join(map(str, data[key])),
+            {str(i): v for i, v in enumerate(data[key])}]))
+    elif fault == "line":
+        data["lines"][data["lines"].index(line)] = draw(st.sampled_from([
+            json.dumps(line), "10", {"cx": line[0], "cy": line[1]},
+            line[:1], line + [line[0]]]))
+    elif fault == "pair":
+        j = draw(st.integers(0, 1))
+        line[j] = draw(st.sampled_from([
+            line[j][:1], line[j] + ["0"], {"re": line[j][0], "im": line[j][1]},
+            []]))
+    elif fault == "number":
+        bad = draw(st.sampled_from([True, False, 0.5, 1.0, None]))
+        where = draw(st.sampled_from(["coeff", "point_mass", "re", "im"]))
+        if where == "coeff":
+            data["coeffs"][draw(st.integers(0, len(data["coeffs"]) - 1))] = bad
+        elif where == "point_mass":
+            data["point_mass"] = bad
+        else:
+            line[draw(st.integers(0, 1))][where == "im"] = bad
+    else:
+        del data[draw(st.sampled_from(["lines", "coeffs"]))]
+    return data
+
+
+claim_name = st.sampled_from(
+    [*CLAIMS, *CLAIM_ALIASES, "thm2", "Generators", "pow3", "", "ideal",
+     "adjacent-violation-3-5", "all"])
+
+
+def _run(argv: list[str], data=None) -> tuple[int, str, str]:
+    """main(argv) in process, with `data` as its --file; (rc, out, err)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if data is not None:
+            path = Path(tmp) / "arrangement.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            argv = [*argv, "--file", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--no-timestamp"])
+    return rc, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(arrangement, command, st.sampled_from(["json", "csv", "md"]))
 def test_exact_commands_exit_cleanly(data, argv, fmt):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "arrangement.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([*argv, "--file", str(path), "--format", fmt,
-                       "--no-timestamp"])
+    rc, out, err = _run([*argv, "--format", fmt], data)
     assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert "Warning" not in err.getvalue()
+    assert "Traceback" not in err
+    assert "Warning" not in err
     if rc == 0 and fmt == "json":
-        json.loads(out.getvalue())
+        json.loads(out)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(malformed(), st.sampled_from([["lct"], ["sequence", "--m-max", "3"],
+                                     ["analyze", "--m", "1"]]))
+def test_malformed_files_exit_2(data, argv):
+    rc, out, err = _run(argv, data)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.lists(claim_name, min_size=1, max_size=3),
+       st.sampled_from(["json", "csv", "md"]))
+def test_verify_paper_claim_filters_exit_cleanly(names, fmt):
+    rc, out, err = _run(["verify-paper", "--claims", *names, "--format", fmt])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if out and fmt == "json":
+        json.loads(out)

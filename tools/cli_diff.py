@@ -21,7 +21,9 @@ and exit codes are compared byte for byte:
   the float range.  A format a command does not have must fail the same
   way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
-- ``demos/03_kernel_crosscheck.py``.
+- the three demos: ``demos/01`` and ``demos/02`` print generators,
+  memberships, oracle margins and the monotonicity tables through the
+  polynomial layer, ``demos/03`` the kernel cross-check (69 cases in all).
 
 Prints one line per case and a diff excerpt for each difference; exits 1
 if any case differs, 0 otherwise.  Takes a minute or two: the ``bergman``
@@ -40,6 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FORMATS = ("json", "csv", "md")
+DEMOS = ("01_arrangements_and_ideals.py", "02_sequence_monotonicity.py",
+         "03_kernel_crosscheck.py")
 
 FILE_ARRANGEMENT = {
     "lines": [[["1", "0"], ["0", "0"]],
@@ -101,7 +105,7 @@ def cases(arrangement_file: str, huge_files: list[str],
     out += [["sequence", *t, "--m-max", "3000", "--format", fmt]
             for fmt in FORMATS]
     return [["-m", "pshlab", *cmd, "--no-timestamp"] for cmd in out] + [
-        [str(ROOT / "demos" / "03_kernel_crosscheck.py")]]
+        [str(ROOT / "demos" / demo)] for demo in DEMOS]
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
