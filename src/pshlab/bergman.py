@@ -36,6 +36,10 @@ from .polynomials import BivariatePolynomial
 from .singularity import generic_rays
 
 MIN_SPHERE_SAMPLES = 10_000
+# (r_lo, r_hi, points) of the log-spaced radii `lelong_estimate` fits on,
+# and the degrees `effective_spec` adds above the lowest admissible one
+SLOPE_WINDOW = (1e-3, 1e-1, 25)
+CUTOFF_MARGIN = 4
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 # exp(t) is a finite normal float for t in this range
@@ -504,45 +508,53 @@ def kernel_values(result: GramResult, x, y) -> np.ndarray:
     return np.exp(_log_kernel(result, x, y)).reshape(np.shape(x))
 
 
+def _phi_on_points(result: GramResult, x, y) -> np.ndarray:
+    return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
+
+
+def effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec
+                   ) -> QuadratureSpec:
+    """Keep the requested degree cutoff unless it admits nothing, in which
+    case raise it to (minimal admissible degree + CUTOFF_MARGIN).  Slopes
+    near 0 are governed by the lowest admissible degree, so the raise is
+    safe."""
+    lowest = min_admissible_degree(arr, m)
+    if quad.max_degree >= lowest:
+        return quad
+    return quad.with_max_degree(lowest + CUTOFF_MARGIN)
+
+
+def _gram_for(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
+              gram: GramResult | None) -> GramResult:
+    """The Gram every report at (arr, m, quad) reads: `gram` if one is
+    given, else the Gram at the effective degree cutoff."""
+    if gram is not None:
+        return gram
+    return gram_matrix(arr, m, effective_spec(arr, m, quad))
+
+
 def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                 point: tuple[complex, complex], *,
                 gram: GramResult | None = None) -> float:
     """Truncated approximation weight (1/2m) log sum |sigma_l(z)|^2."""
-    result = gram if gram is not None else gram_matrix(arr, m, quad)
-    return float(_log_kernel(result, [point[0]], [point[1]])[0]) / (2.0 * m)
-
-
-def _phi_on_points(result: GramResult, x: np.ndarray, y: np.ndarray
-                   ) -> np.ndarray:
-    return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
-
-
-def effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
-                   margin: int = 4) -> QuadratureSpec:
-    """Keep the requested degree cutoff unless it admits nothing, in which
-    case raise it to (minimal admissible degree + margin).  Slopes near 0
-    are governed by the lowest admissible degree, so the raise is safe."""
-    lowest = min_admissible_degree(arr, m)
-    if quad.max_degree >= lowest:
-        return quad
-    return quad.with_max_degree(lowest + margin)
+    return float(_phi_on_points(_gram_for(arr, m, quad, gram), *point))
 
 
 @dataclass
 class RaySlopes:
-    m: int
+    """Ray slopes of phi_hat, with the Gram they were read from."""
+
+    gram: GramResult
     value: float
     per_ray: list[float]
-    max_degree_used: int
-    nodes: int
 
     def to_dict(self) -> dict:
         return {
-            "m": self.m,
+            "m": self.gram.m,
             "lelong_estimate": self.value,
             "per_ray": self.per_ray,
-            "max_degree_used": self.max_degree_used,
-            "quadrature_nodes": self.nodes,
+            "max_degree_used": self.gram.spec.max_degree,
+            "quadrature_nodes": self.gram.nodes,
         }
 
 
@@ -551,37 +563,28 @@ def _fit_slope(log_r: np.ndarray, values: np.ndarray) -> float:
 
 
 def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
-                    *, rays: int = 8, r_lo: float = 1e-3, r_hi: float = 1e-1,
-                    n_points: int = 25, gram: GramResult | None = None
+                    *, rays: int = 8, gram: GramResult | None = None
                     ) -> RaySlopes:
-    """Average slope of phi_hat_m against log r along generic rays."""
-    spec = effective_spec(arr, m, quad)
-    result = gram if gram is not None else gram_matrix(arr, m, spec)
-    r = np.geomspace(r_lo, r_hi, n_points)
+    """Average slope of phi_hat_m against log r on SLOPE_WINDOW along
+    generic rays."""
+    result = _gram_for(arr, m, quad, gram)
+    r = np.geomspace(*SLOPE_WINDOW)
     log_r = np.log(r)
-    slopes = []
-    for u in generic_rays(arr, rays, spec.seed):
-        vals = _phi_on_points(result, r * u[0], r * u[1])
-        slopes.append(_fit_slope(log_r, vals))
-    return RaySlopes(
-        m=m,
-        value=float(np.mean(slopes)),
-        per_ray=slopes,
-        max_degree_used=spec.max_degree,
-        nodes=result.nodes,
-    )
+    slopes = [_fit_slope(log_r, _phi_on_points(result, r * u[0], r * u[1]))
+              for u in generic_rays(arr, rays, quad.seed)]
+    return RaySlopes(result, float(np.mean(slopes)), slopes)
 
 
 @dataclass
 class CurveScan:
-    m1: int
-    m2: int
+    """Delta = phi_hat_{m2} - phi_hat_{m1} along a curve, with the Grams
+    of phi_hat_{m1} and phi_hat_{m2}."""
+
+    grams: tuple[GramResult, GramResult]
     t: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
     slope: float
-    max_degree_used: tuple[int, int]
-    nodes: tuple[int, int]
 
     @property
     def delta(self) -> np.ndarray:
@@ -595,11 +598,11 @@ class CurveScan:
 
     def to_dict(self) -> dict:
         return {
-            "m1": self.m1,
-            "m2": self.m2,
+            "m1": self.grams[0].m,
+            "m2": self.grams[1].m,
             "slope": self.slope,
-            "max_degree_used": list(self.max_degree_used),
-            "quadrature_nodes": list(self.nodes),
+            "max_degree_used": [g.spec.max_degree for g in self.grams],
+            "quadrature_nodes": [g.nodes for g in self.grams],
             "rows": [
                 {"t": r[0], "phi_m1": r[1], "phi_m2": r[2], "delta": r[3]}
                 for r in self.rows()
@@ -617,23 +620,12 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
     Delta blows up at the origin."""
     t = np.asarray(t_grid, dtype=np.float64)
     x, y = curve(t)
-    spec1 = effective_spec(arr, m1, quad)
-    spec2 = effective_spec(arr, m2, quad)
-    g1 = gram1 if gram1 is not None else gram_matrix(arr, m1, spec1)
-    g2 = gram2 if gram2 is not None else gram_matrix(arr, m2, spec2)
-    spec1, spec2 = g1.spec, g2.spec
-    phi1 = _phi_on_points(g1, np.asarray(x, dtype=np.complex128),
-                          np.asarray(y, dtype=np.complex128))
-    phi2 = _phi_on_points(g2, np.asarray(x, dtype=np.complex128),
-                          np.asarray(y, dtype=np.complex128))
+    grams = (_gram_for(arr, m1, quad, gram1), _gram_for(arr, m2, quad, gram2))
+    phi1, phi2 = (_phi_on_points(g, x, y) for g in grams)
     # on a curve inside a line both phi are -inf: the slope is NaN, quietly
     with np.errstate(invalid="ignore"):
         slope = _fit_slope(np.log(t), phi2 - phi1)
-    return CurveScan(
-        m1=m1, m2=m2, t=t, phi1=phi1, phi2=phi2, slope=slope,
-        max_degree_used=(spec1.max_degree, spec2.max_degree),
-        nodes=(g1.nodes, g2.nodes),
-    )
+    return CurveScan(grams, t, phi1, phi2, slope)
 
 
 def diagonal_curve(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

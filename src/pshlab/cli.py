@@ -80,16 +80,14 @@ def _term_lists(gens: list[BivariatePolynomial]) -> list[list]:
     """The JSON term lists of `gens`.  From Python 3.11, str() refuses an
     int of more than sys.get_int_max_str_digits() digits, which a
     coefficient of an expanded generator can reach."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # n has more than `limit` digits iff n >= 10**limit > 8**limit
-    if limit and any(n.bit_length() > 3 * limit and n >= 10 ** limit
-                     for g in gens for _, c in g.terms() for q in (c.re, c.im)
-                     for n in (abs(q.numerator), q.denominator)):
+    try:
+        return [g.to_term_list() for g in gens]
+    except ValueError as exc:
         raise UsageError(
-            f"a generator coefficient has more than {limit} digits, "
-            "Python's int-to-str limit; the csv and md formats do not "
-            "print coefficients")
-    return [g.to_term_list() for g in gens]
+            f"a generator coefficient has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's int-to-str "
+            "limit; the csv and md formats do not print coefficients"
+        ) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,15 +182,8 @@ def _resolve_arrangement(args) -> WeightedArrangement:
     if getattr(args, "preset", None) and getattr(args, "file", None):
         raise UsageError("use either --preset or --file, not both")
     if getattr(args, "file", None):
-        try:
-            return load_arrangement(args.file)
-        except ArrangementError as exc:
-            raise UsageError(str(exc)) from exc
-    name = getattr(args, "preset", None) or "theorem1"
-    try:
-        return preset(name)
-    except ArrangementError as exc:
-        raise UsageError(str(exc)) from exc
+        return load_arrangement(args.file)
+    return preset(getattr(args, "preset", None) or "theorem1")
 
 
 def _emit(args, to_json: Callable[[], dict],
@@ -372,10 +363,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_lct(args) -> int:
     arr = _resolve_arrangement(args)
-    try:
-        value = lct(arr)
-    except ArrangementError as exc:
-        raise UsageError(str(exc)) from exc
+    value = lct(arr)
     _emit(
         args,
         lambda: {"command": "lct", "arrangement": arr.describe(),
@@ -424,6 +412,8 @@ def _parse_curve(spec: str):
             values = [float(v) for v in parts]
         except ValueError as exc:
             raise UsageError(f"cannot parse curve {spec!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise UsageError(f"curve {spec!r} has a non-finite component")
         direction = (complex(values[0], values[1]),
                      complex(values[2], values[3]))
         return ray_curve(direction), spec
@@ -439,22 +429,8 @@ def _require_finite(what: str, values, hint: str = "") -> None:
         raise UsageError(f"{what} is not finite" + hint)
 
 
-def _numeric_guard(estimate, *pos, **kw):
-    """Run a numeric estimate; a degree cutoff beyond the quadrature rule
-    or exact float degrees, or a Gram beyond floats, is a usage error."""
-    from .bergman import DegreeCutoffError, DenseScaleError
-
-    try:
-        return estimate(*pos, **kw)
-    except (DegreeCutoffError, DenseScaleError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_bergman(args) -> int:
-    import numpy as np
-
-    from .bergman import (QuadratureSpec, curve_scan, effective_spec,
-                          gram_matrix, lelong_estimate)
+    from .bergman import DegreeCutoffError, DenseScaleError, QuadratureSpec
 
     arr = _resolve_arrangement(args)
     try:
@@ -467,58 +443,70 @@ def _cmd_bergman(args) -> int:
         raise UsageError("curve scans need both --m1 and --m2")
     if not scan_mode and args.m is None:
         raise UsageError("give --m for slope estimates or --m1/--m2 for a scan")
+    # a degree cutoff beyond the quadrature rule or exact float degrees, or
+    # a Gram beyond floats, is a usage error, in the estimate or its report
+    try:
+        return (_bergman_scan if scan_mode else _bergman_rays)(args, arr, quad)
+    except (DegreeCutoffError, DenseScaleError) as exc:
+        raise UsageError(str(exc)) from exc
 
-    if scan_mode:
-        if min(args.m1, args.m2) < 1:
-            raise UsageError("indices must be >= 1")
-        if not (0 < args.tmin < args.tmax):
-            raise UsageError("need 0 < tmin < tmax")
-        if args.tmin < sys.float_info.min or not math.isfinite(args.tmax):
-            raise UsageError(f"need {sys.float_info.min} <= tmin (no "
-                             "subnormal t) and a finite tmax")
-        curve, curve_name = _parse_curve(args.curve)
-        if args.points < 2:
-            raise UsageError("a slope needs --points >= 2")
-        t = np.geomspace(args.tmin, args.tmax, args.points)
-        scan = _numeric_guard(curve_scan, arr, args.m1, args.m2, curve, t,
-                              quad)
-        hint = " (does the curve lie on a line?)"
-        _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
-        _require_finite(f"phi_{args.m2} along {curve_name}", scan.phi2, hint)
-        _require_finite(f"the slope along {curve_name}", scan.slope, hint)
-        verdict = "UNBOUNDED" if scan.slope < -args.slope_tol else "BOUNDED"
 
-        def to_json() -> dict:
-            return {
-                "command": "bergman-scan",
-                "arrangement": arr.describe(),
-                "curve": curve_name,
-                "seed": args.seed,
-                "sphere_samples": args.samples,
-                "verdict": verdict,
-                **scan.to_dict(),
-            }
+def _bergman_scan(args, arr: WeightedArrangement, quad) -> int:
+    import numpy as np
 
-        def to_csv() -> list[list]:
-            return [["t", "phi_m1", "phi_m2", "delta"]] + [
-                [repr(v) for v in row] for row in scan.rows()
-            ]
+    from .bergman import curve_scan
 
-        _emit(args, to_json, to_csv, lambda: (
-            f"Delta = phi_{args.m2} - phi_{args.m1} along {curve_name}: "
-            f"slope {scan.slope:+.4f} vs log t -> {verdict}"
-        ))
-        return 0
+    if min(args.m1, args.m2) < 1:
+        raise UsageError("indices must be >= 1")
+    if not (0 < args.tmin < args.tmax):
+        raise UsageError("need 0 < tmin < tmax")
+    if args.tmin < sys.float_info.min or not math.isfinite(args.tmax):
+        raise UsageError(f"need {sys.float_info.min} <= tmin (no "
+                         "subnormal t) and a finite tmax")
+    curve, curve_name = _parse_curve(args.curve)
+    if not 2 <= args.points <= MAX_INDICES:
+        raise UsageError(f"a slope needs 2 <= --points <= {MAX_INDICES}")
+    if not (math.isfinite(args.slope_tol) and args.slope_tol >= 0):
+        raise UsageError("--slope-tol must be finite and >= 0")
+    t = np.geomspace(args.tmin, args.tmax, args.points)
+    scan = curve_scan(arr, args.m1, args.m2, curve, t, quad)
+    hint = " (does the curve lie on a line?)"
+    _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
+    _require_finite(f"phi_{args.m2} along {curve_name}", scan.phi2, hint)
+    _require_finite(f"the slope along {curve_name}", scan.slope, hint)
+    verdict = "UNBOUNDED" if scan.slope < -args.slope_tol else "BOUNDED"
+
+    def to_json() -> dict:
+        return {
+            "command": "bergman-scan",
+            "arrangement": arr.describe(),
+            "curve": curve_name,
+            "seed": args.seed,
+            "sphere_samples": args.samples,
+            "verdict": verdict,
+            **scan.to_dict(),
+        }
+
+    def to_csv() -> list[list]:
+        return [["t", "phi_m1", "phi_m2", "delta"]] + [
+            [repr(v) for v in row] for row in scan.rows()
+        ]
+
+    _emit(args, to_json, to_csv, lambda: (
+        f"Delta = phi_{args.m2} - phi_{args.m1} along {curve_name}: "
+        f"slope {scan.slope:+.4f} vs log t -> {verdict}"
+    ))
+    return 0
+
+
+def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
+    from .bergman import lelong_estimate
 
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    if args.rays < 1:
-        raise UsageError("--rays must be >= 1")
-    # the audited Gram is the one the slopes use, built once
-    gram = _numeric_guard(gram_matrix, arr, args.m, effective_spec(
-        arr, args.m, quad)) if args.audit_gram else None
-    est = _numeric_guard(lelong_estimate, arr, args.m, quad, rays=args.rays,
-                         gram=gram)
+    if not 1 <= args.rays <= MAX_INDICES:
+        raise UsageError(f"need 1 <= --rays <= {MAX_INDICES}")
+    est = lelong_estimate(arr, args.m, quad, rays=args.rays)
     _require_finite(f"a ray slope of phi_{args.m}", est.per_ray)
     symbolic = lelong(entry(arr, args.m).cls)
 
@@ -531,8 +519,8 @@ def _cmd_bergman(args) -> int:
             "symbolic_lelong": str(symbolic),
             **est.to_dict(),
         }
-        if gram is not None:
-            payload["gram"] = _numeric_guard(gram.to_dict)
+        if args.audit_gram:  # the Gram the slopes read
+            payload["gram"] = est.gram.to_dict()
         return payload
 
     def to_csv() -> list[list]:

@@ -76,7 +76,10 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianRational":
-        other = GaussianRational.of(other)
+        try:
+            other = GaussianRational.of(other)
+        except TypeError:
+            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

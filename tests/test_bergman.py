@@ -24,7 +24,7 @@ from pshlab.bergman import (
 from pshlab.gaussian import GaussianRational
 from pshlab.polynomials import BivariatePolynomial as P
 from pshlab.sequence import entry
-from pshlab.singularity import lelong
+from pshlab.singularity import generic_rays, lelong
 
 from gram_reference import (
     direct_kernel,
@@ -223,6 +223,33 @@ def test_truncation_monotonicity():
 def test_empty_basis_raises():
     with pytest.raises(EmptyBasisError):
         gram_matrix(THEOREM1, 8, QuadratureSpec(12, 10_000, 1))
+
+
+def test_slope_report_reads_the_gram_it_was_given():
+    # a Gram passed at cutoff 20 is the one the slopes are fitted on, so
+    # the report names cutoff 20, not the requested 12
+    quad = QuadratureSpec(12, 10_000, 42)
+    gram = gram_matrix(THEOREM1, 1, quad.with_max_degree(20))
+    report = lelong_estimate(THEOREM1, 1, quad, rays=2, gram=gram).to_dict()
+    assert report["max_degree_used"] == 20
+    assert report["quadrature_nodes"] == gram.nodes
+    t = np.geomspace(1e-3, 1e-1, 5)
+    scan = curve_scan(THEOREM1, 1, 2, diagonal_curve, t, quad, gram1=gram)
+    assert scan.to_dict()["max_degree_used"] == [20, 12]
+    assert scan.grams[0] is gram
+
+
+def test_bergman_phi_reads_the_slopes_gram_below_the_cutoff():
+    # cutoff 12 admits nothing at m = 8: bergman_phi reads the Gram at the
+    # effective cutoff, the same phi_hat that lelong_estimate fits on
+    quad = QuadratureSpec(12, 10_000, 1)
+    (u,) = generic_rays(THEOREM1, 1, quad.seed)
+    r = np.geomspace(1e-3, 1e-1, 25)  # the slope window
+    phi = [bergman_phi(THEOREM1, 8, quad, (ri * u[0], ri * u[1])) for ri in r]
+    est = lelong_estimate(THEOREM1, 8, quad, rays=1)
+    assert np.polyfit(np.log(r), phi, 1)[0] == pytest.approx(
+        est.per_ray[0], rel=1e-9)
+    assert est.gram.spec.max_degree > quad.max_degree
 
 
 def test_bergman_phi_bounded_without_singularity():

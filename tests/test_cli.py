@@ -333,6 +333,35 @@ def test_bergman_degenerate_input_exits_2(flags, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--m1", "3", "--m2", "4", "--slope-tol", "nan"], "--slope-tol"),
+    (["--m1", "3", "--m2", "4", "--slope-tol", "-5"], "--slope-tol"),
+    (["--m1", "3", "--m2", "4", "--slope-tol", "inf"], "--slope-tol"),
+    (["--m1", "3", "--m2", "4", "--points", "100001"], "--points"),
+    (["--m", "3", "--rays", "100001"], "--rays"),
+    (["--m1", "3", "--m2", "4", "--curve", "dir:inf,0,1,0"], "non-finite"),
+    (["--m1", "3", "--m2", "4", "--curve", "dir:1,nan,1,0"], "non-finite"),
+], ids=["slope-tol-nan", "slope-tol-negative", "slope-tol-inf", "points-cap",
+        "rays-cap", "curve-inf", "curve-nan"])
+def test_bergman_refuses_flags_before_any_estimate(flags, reason, monkeypatch,
+                                                   capsys):
+    # a NaN or negative --slope-tol flipped the scan verdict under exit 0,
+    # --points and --rays had no cost cap, and a non-finite direction
+    # printed a numpy warning before its error line
+    from pshlab import bergman
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimate run")
+
+    monkeypatch.setattr(bergman, "curve_scan", no_estimate)
+    monkeypatch.setattr(bergman, "lelong_estimate", no_estimate)
+    rc = main(["bergman", "--preset", "theorem1", *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bergman_subnormal_t_is_one_error_line():
     # subnormal t used to send numpy RuntimeWarnings to stderr before the
     # error line; the range is now refused before any numpy work

@@ -1,16 +1,17 @@
-"""Fuzz the exact subcommands of the CLI over small arrangement files,
-malformed arrangement files and claim filters."""
+"""Fuzz the CLI: the exact subcommands over small arrangement files,
+malformed arrangement files and claim filters, and the `bergman` flags."""
 
 import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from pshlab.cli import main
+from pshlab.cli import MAX_INDICES, main
 from pshlab.sequence import CLAIM_ALIASES, CLAIMS
 
 # x, y, x+y, x-y, x+(1/2+i/3)y, x+(i/2)y, and 2x+2y (a duplicate of x+y)
@@ -38,8 +39,6 @@ command = st.one_of(
         lambda a: ["sequence", "--m-max", str(a[0]), "--k-max", "5", *a[1]]),
     st.integers(0, 4).map(lambda m: ["analyze", "--m-max", str(m)]),
 )
-
-
 
 
 @st.composite
@@ -127,3 +126,75 @@ def test_verify_paper_claim_filters_exit_cleanly(names, fmt):
     assert "Traceback" not in err and "Warning" not in err
     if out and fmt == "json":
         json.loads(out)
+
+
+# lines x and x + 3y with weights 1/2 and 99/100: the exponent e = b - m a
+# of the second line is -0.99 at m = 1; and lines x, x + 10^300 y
+NEAR_MINUS_ONE = {"lines": [[["1", "0"], ["0", "0"]], [["1", "0"], ["3", "0"]]],
+                  "coeffs": ["1/2", "99/100"]}
+HUGE_COEFFICIENT = {"lines": [[["1", "0"], ["0", "0"]],
+                              [["1", "0"], [str(10 ** 300), "0"]]],
+                    "coeffs": ["1/2", "3/4"]}
+# a valid value of each bergman flag, then per flag the bad or extreme
+# values one case may swap in (None drops the flag)
+CURVES = ["x=y", "diag", "dir:1,0,1,0", "dir:1,2,-3,0.5"]
+FAULTS = {
+    "--m": [-1, 0], "--m1": [-1, 0], "--m2": [None, 0],
+    "--curve": ["dir:1,0,0,0", "dir:0,0,0,0", "dir:1e300,0,1e300,0",
+                "dir:inf,0,1,0", "dir:1,nan,0,1", "dir:1,0", "dir:a,b,c,d",
+                "circle"],
+    "--tmin": ["0", "-1", "1e-320", "0.5", "inf", "nan"],
+    "--tmax": ["1e-4", "1e300", "inf", "nan"],
+    "--points": [-1, 0, 1, MAX_INDICES + 1],
+    "--rays": [0, MAX_INDICES + 1],
+    "--slope-tol": ["-5", "nan", "inf"],
+    "--max-degree": [-1, 10 ** 12],
+}
+
+
+@st.composite
+def bergman_command(draw):
+    """Ray slopes or a curve scan with valid flags, and in half the cases
+    one flag swapped for a value from FAULTS."""
+    if draw(st.booleans()):
+        flags = {"--m1": draw(st.integers(1, 6)),
+                 "--m2": draw(st.integers(1, 6)),
+                 "--curve": draw(st.sampled_from(CURVES)),
+                 "--tmin": draw(st.sampled_from(["1e-3", "1e-2"])),
+                 "--tmax": draw(st.sampled_from(["0.1", "2"])),
+                 "--points": draw(st.integers(2, 12)),
+                 "--slope-tol": draw(st.sampled_from(["0.02", "0", "1e300"]))}
+    else:
+        flags = {"--m": draw(st.integers(1, 6)),
+                 "--rays": draw(st.integers(1, 4))}
+    flags["--max-degree"] = draw(st.sampled_from([0, 4, 8, 12]))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(flags)))
+        flags[key] = draw(st.sampled_from(FAULTS[key]))
+    argv = ["bergman", *(["--audit-gram"] if draw(st.booleans()) else [])]
+    for key, value in flags.items():
+        if value is not None:
+            argv += [key, str(value)]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the JSON report")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(arrangement, st.sampled_from([NEAR_MINUS_ONE,
+                                               HUGE_COEFFICIENT])),
+       bergman_command(), st.sampled_from(["json", "csv", "md"]))
+def test_bergman_flags_exit_cleanly(data, argv, fmt):
+    rc, out, err = _run([*argv, "--format", fmt], data)
+    assert rc in (0, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if rc == 2:
+        assert out == "" and len(err.splitlines()) == 1
+        return
+    # every number printed with exit 0 is finite
+    if fmt == "json":
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        assert not re.search(r"(?i)\b(nan|inf)", out), out

@@ -178,6 +178,7 @@ def test_arithmetic_matches_sparse_reference(f, g, s, n):
         (-P(f), _ref({key: -c for key, c in rf.items()})),
         (P(f) * P(g), _ref_mul(rf, rg)),
         (P(f) * s, _ref_mul(rf, {(0, 0): s})),
+        (s * P(f), _ref_mul({(0, 0): s}, rf)),
         (3 * P(f), _ref_mul(rf, {(0, 0): GaussianRational.of(3)})),
         (P(f) ** n, ref_pow),
     ]
