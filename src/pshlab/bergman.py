@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,6 +44,7 @@ SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 # exp(t) is a finite normal float for t in this range
 _EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+# columns of one block product: Gram nodes, or kernel points, per chunk
 _CHUNK = 1 << 13
 # Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
 # Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
@@ -221,27 +222,39 @@ def _panel_nodes(arr: WeightedArrangement, legendre: int, angles: int):
     return phase, charts
 
 
-def _hopf_nodes(arr: WeightedArrangement, exponents: Sequence[float]
+@functools.lru_cache(maxsize=16)
+def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
+                jacobi: int, legendre: int, angles: int
                 ) -> tuple[np.ndarray, ...]:
-    """Nodes (x, y) on S^3, weights w with sum(w * F) ~ the S^3 mean of
-    any Hopf-fibre invariant F carrying the factor prod |ell_j|^(2 e_j),
-    and the line log moduli of `_chart_nodes` at the nodes.
+    """Nodes (x, y) on S^3 and the factor common = sqrt(w) prod_j
+    |ell_j|^e_j of the Hopf rule for the line exponents e, with weights w
+    such that sum(w * F) ~ the S^3 mean of any Hopf-fibre invariant F
+    carrying the factor prod |ell_j|^(2 e_j).  The arrays are read-only.
 
     Chart j (`arrangement.hopf_charts`) carries the measure ds dphi / 2pi
     (the normalized area of CP^1).  Its radial rule is Gauss-Jacobi for
-    s^e_j on the disc [0, s1] (weights divided by s^e_j), built here for
-    the exponents of this call, then the cached panels of `_panel_nodes`.
+    s^e_j on the disc [0, s1] (weights divided by s^e_j), then the cached
+    panels of `_panel_nodes`.
+
+    Cached per exponent class: e_i = floor(m a_i) - m a_i depends on m only
+    through m mod L (L the common denominator of the a_i), so a sweep over
+    m builds at most one rule per residue.  Keyed by the node counts too,
+    so that a changed rule is rebuilt.  Only what `gram_matrix` reads is
+    kept: w and the line log moduli are dropped.
     """
-    if not exponents:
-        exponents = (0.0,)
-    phase, panels = _panel_nodes(arr, HOPF_LEGENDRE, HOPF_ANGLES)
+    phase, panels = _panel_nodes(arr, legendre, angles)
     parts = []
-    for j, ((chart, panel), e) in enumerate(zip(panels, exponents)):
-        sj, wj = _gauss_jacobi(HOPF_JACOBI, float(e))
+    for j, ((chart, panel), e) in enumerate(zip(panels, exponents or (0.0,))):
+        sj, wj = _gauss_jacobi(jacobi, e)
         parts.append(_chart_nodes(j, chart, chart.s1 * sj,
-                                  chart.s1 * wj / sj ** float(e), phase))
+                                  chart.s1 * wj / sj ** e, phase))
         parts.append(panel)
-    return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
+    x, y, w, log_moduli = (np.concatenate(part, axis=-1)
+                           for part in zip(*parts))
+    rule = x, y, np.sqrt(w) * np.exp(np.array(exponents) @ log_moduli)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _dense_factor(log_scale: float, power: float) -> float:
@@ -405,9 +418,10 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
             "degrees exactly only below 2^53")
     monos = _cofactor_monomials(cofactor_degrees)
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
-    exponents = [float(b - m * a) for b, a in zip(line_powers, arr.coeffs)]
-    x, y, w, log_moduli = _hopf_nodes(arr, exponents)
-    common = np.sqrt(w) * np.exp(np.array(exponents) @ log_moduli)
+    exponents = tuple(float(b - m * a)
+                      for b, a in zip(line_powers, arr.coeffs))
+    x, y, common = _hopf_nodes(arr, exponents, HOPF_JACOBI, HOPF_LEGENDRE,
+                               HOPF_ANGLES)
 
     sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
             for t in cofactor_degrees]
@@ -464,14 +478,28 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
 def _log_kernel(result: GramResult, x, y) -> np.ndarray:
     """log of the sum of |sigma_l|^2 over the orthonormal basis, flattened.
 
+    The points are taken _CHUNK at a time, so the row blocks stay as small
+    as those of `gram_matrix` however many points are asked for.
+    """
+    x = np.asarray(x, dtype=np.complex128).ravel()
+    y = np.asarray(y, dtype=np.complex128).ravel()
+    out = np.empty(len(x))
+    for start in range(0, len(x), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        out[chunk] = _log_kernel_chunk(result, x[chunk], y[chunk])
+    return out
+
+
+def _log_kernel_chunk(result: GramResult, x: np.ndarray, y: np.ndarray
+                      ) -> np.ndarray:
+    """`_log_kernel` at flat complex points.
+
     By homogeneity, with z = |z| u: log K(z) = 2 sum_i b_i log|ell_i(u)|
     - log_scale + logsumexp_d(2d log|z| + log K_d(u)), where K_d is the
     block-d kernel of the cofactor monomials at u and log|ell_i(u)| the
     unit form's log modulus plus log|ell_i|.  No power of |z| is ever
     formed, so high degrees neither underflow nor overflow.
     """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128).ravel()
     r = np.hypot(np.abs(x), np.abs(y))
     unit = np.where(r > 0.0, r, 1.0)
     ux, uy = x / unit, y / unit
@@ -566,12 +594,25 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                     *, rays: int = 8, gram: GramResult | None = None
                     ) -> RaySlopes:
     """Average slope of phi_hat_m against log r on SLOPE_WINDOW along
-    generic rays."""
+    `rays` (>= 1) generic rays.
+
+    phi_hat is evaluated on all rays x radii in one kernel pass, fed whole
+    rays at a time in calls of at most _CHUNK points (one call up to 327
+    rays); each ray's slope is its own straight-line fit.
+    """
+    if rays < 1:
+        raise ValueError(f"a slope estimate needs rays >= 1, got {rays}")
     result = _gram_for(arr, m, quad, gram)
     r = np.geomspace(*SLOPE_WINDOW)
     log_r = np.log(r)
-    slopes = [_fit_slope(log_r, _phi_on_points(result, r * u[0], r * u[1]))
-              for u in generic_rays(arr, rays, quad.seed)]
+    u = np.array(generic_rays(arr, rays, quad.seed))
+    # whole rays, at most _CHUNK points per pass: the points of 100,000
+    # rays at once would hold 80 MB of coordinates
+    step = max(1, _CHUNK // len(r))
+    phi = np.concatenate([
+        _phi_on_points(result, u[i:i + step, :1] * r, u[i:i + step, 1:] * r)
+        for i in range(0, rays, step)])
+    slopes = [_fit_slope(log_r, row) for row in phi]
     return RaySlopes(result, float(np.mean(slopes)), slopes)
 
 

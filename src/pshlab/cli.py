@@ -157,21 +157,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="single index: ray-slope estimate (with --rays)")
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--curve", default="x=y",
+    # the flags of one mode default to None here, so that _cmd_bergman can
+    # refuse them in the other mode; their defaults are in _SCAN_FLAGS and
+    # _RAY_FLAGS
+    p.add_argument("--curve", default=None,
                    help='"x=y" or "dir:re,im,re,im" for a fixed ray')
-    p.add_argument("--tmin", type=float, default=1e-3)
-    p.add_argument("--tmax", type=float, default=1e-1)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--tmin", type=float, default=None)
+    p.add_argument("--tmax", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--samples", type=int, default=100_000,
                    help="Monte Carlo sample size recorded in the report "
                         "(>= 10000); the Gram itself is deterministic")
     p.add_argument("--seed", type=int, default=42,
                    help="seed of the slope rays")
     p.add_argument("--max-degree", type=int, default=12)
-    p.add_argument("--rays", type=int, default=8)
-    p.add_argument("--slope-tol", type=float, default=0.02,
+    p.add_argument("--rays", type=int, default=None)
+    p.add_argument("--slope-tol", type=float, default=None,
                    help="|slope| below this counts as flat")
-    p.add_argument("--audit-gram", action="store_true",
+    p.add_argument("--audit-gram", action="store_true", default=None,
                    help="dump the full Gram estimate (JSON only)")
     add_output(p)
 
@@ -429,6 +432,13 @@ def _require_finite(what: str, values, hint: str = "") -> None:
         raise UsageError(f"{what} is not finite" + hint)
 
 
+# The flags of each bergman mode, with their defaults.  A flag of the other
+# mode would change nothing: it is refused.
+_SCAN_FLAGS = {"curve": "x=y", "tmin": 1e-3, "tmax": 1e-1, "points": 25,
+               "slope_tol": 0.02}
+_RAY_FLAGS = {"m": None, "rays": 8, "audit_gram": False}
+
+
 def _cmd_bergman(args) -> int:
     from .bergman import DegreeCutoffError, DenseScaleError, QuadratureSpec
 
@@ -441,6 +451,17 @@ def _cmd_bergman(args) -> int:
     scan_mode = args.m1 is not None or args.m2 is not None
     if scan_mode and (args.m1 is None or args.m2 is None):
         raise UsageError("curve scans need both --m1 and --m2")
+    own, other = ((_SCAN_FLAGS, _RAY_FLAGS) if scan_mode
+                  else (_RAY_FLAGS, _SCAN_FLAGS))
+    foreign = ["--" + dest.replace("_", "-") for dest in other
+               if getattr(args, dest) is not None]
+    if foreign:
+        raise UsageError(f"{', '.join(foreign)} not used by "
+                         + ("a scan (--m1/--m2)" if scan_mode
+                            else "ray slopes (--m)"))
+    for dest, default in own.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if not scan_mode and args.m is None:
         raise UsageError("give --m for slope estimates or --m1/--m2 for a scan")
     # a degree cutoff beyond the quadrature rule or exact float degrees, or

@@ -252,6 +252,61 @@ def test_bergman_phi_reads_the_slopes_gram_below_the_cutoff():
     assert est.gram.spec.max_degree > quad.max_degree
 
 
+@pytest.mark.parametrize("rays", [0, -3])
+def test_lelong_estimate_needs_a_ray(rays):
+    # no ray used to give a NaN mean with a numpy RuntimeWarning
+    with pytest.raises(ValueError, match="rays >= 1"):
+        lelong_estimate(THEOREM1, 2, QUAD, rays=rays)
+
+
+# lines x and x + 3y with weights 1/2 and 99/100 (exponent -0.99 on the
+# second line at m = 1), and lines x and x + 10^300 y
+NEAR_MINUS_ONE = new_arrangement([(1, 0), (1, 3)],
+                                 [Fraction(1, 2), Fraction(99, 100)])
+HUGE_LINE = new_arrangement([(1, 0), (1, 10 ** 300)],
+                            [Fraction(1, 2), Fraction(3, 4)])
+
+
+@pytest.mark.parametrize("arr", [THEOREM1, NEAR_MINUS_ONE, HUGE_LINE],
+                         ids=["theorem1", "near-minus-one", "huge-line"])
+def test_kernel_chunks_match_one_pass(arr, monkeypatch):
+    # the slopes and a scan, with the kernel taken 10 points at a time,
+    # equal those of one pass over all points (8 rays x 25 radii), and
+    # those of the kernel taken one ray at a time, to 4 ulp
+    quad = QuadratureSpec(12, 10_000, 42)
+    grams = {m: gram_matrix(arr, m, quad) for m in (1, 2)}
+    t = np.geomspace(1e-3, 1e-1, 25)
+    r = np.geomspace(*bergman.SLOPE_WINDOW)
+
+    def report():
+        est = lelong_estimate(arr, 1, quad, gram=grams[1])
+        scan = curve_scan(arr, 1, 2, diagonal_curve, t, quad,
+                          gram1=grams[1], gram2=grams[2])
+        return est.per_ray, scan.phi1, scan.phi2
+
+    one_pass = report()
+    per_ray = [np.polyfit(np.log(r), bergman._phi_on_points(
+                   grams[1], r * u[0], r * u[1]), 1)[0]
+               for u in generic_rays(arr, 8, quad.seed)]
+    widths = []
+    real_blocks = bergman._cofactor_blocks
+
+    def recorded(*args):
+        for rows in real_blocks(*args):
+            widths.append(rows.shape[1])
+            yield rows
+
+    monkeypatch.setattr(bergman, "_CHUNK", 10)
+    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    chunked = report()
+    assert max(widths) == 10 and min(widths) < 10
+    np.testing.assert_array_max_ulp(np.array(one_pass[0]),
+                                    np.array(per_ray), maxulp=4)
+    for whole, parts in zip(one_pass, chunked):
+        np.testing.assert_array_max_ulp(np.array(whole), np.array(parts),
+                                        maxulp=4)
+
+
 def test_bergman_phi_bounded_without_singularity():
     quad = QuadratureSpec(4, 50_000, 42)
     gram = gram_matrix(ZERO_WEIGHT, 1, quad)
@@ -402,14 +457,22 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
 
 def test_node_set_shared_across_m():
     # the arrangement-only part of the rule (charts, panels, Shepard
-    # weights) is built once; Grams at m = 1, 3, 8 equal, bit for bit,
-    # those from a fresh node build
+    # weights) is built once, and the rule itself once per exponent class
+    # e_i = floor(m a_i) - m a_i: on theorem1 (weights 2/3) m = 1 and m = 4
+    # share e = -2/3, while m = 3 (e = 0) and m = 8 (e = -1/3) do not.
+    # Grams at m = 1, 3, 8, 4 equal, bit for bit, those from a fresh build
     quad = QuadratureSpec(20, 10_000, 1)
     bergman._panel_nodes.cache_clear()
-    shared = [gram_matrix(THEOREM1, m, quad) for m in (1, 3, 8)]
+    bergman._hopf_nodes.cache_clear()
+    shared = {m: gram_matrix(THEOREM1, m, quad) for m in (1, 3, 8)}
+    assert bergman._hopf_nodes.cache_info().misses == 3
     assert bergman._panel_nodes.cache_info().hits == 2
-    for m, result in zip((1, 3, 8), shared):
+    shared[4] = gram_matrix(THEOREM1, 4, quad)
+    assert bergman._hopf_nodes.cache_info().hits == 1
+    assert bergman._hopf_nodes.cache_info().misses == 3
+    for m, result in shared.items():
         bergman._panel_nodes.cache_clear()
+        bergman._hopf_nodes.cache_clear()
         fresh = gram_matrix(THEOREM1, m, quad)
         assert fresh.nodes == result.nodes
         assert np.array_equal(fresh.gram, result.gram)

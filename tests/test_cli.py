@@ -341,13 +341,26 @@ def test_bergman_degenerate_input_exits_2(flags, capsys):
     (["--m", "3", "--rays", "100001"], "--rays"),
     (["--m1", "3", "--m2", "4", "--curve", "dir:inf,0,1,0"], "non-finite"),
     (["--m1", "3", "--m2", "4", "--curve", "dir:1,nan,1,0"], "non-finite"),
+    # a flag of the other mode changes nothing
+    (["--m1", "3", "--m2", "4", "--m", "5", "--rays", "3", "--audit-gram",
+      "--max-degree", "8"], "--m, --rays, --audit-gram not used by a scan"),
+    (["--m1", "3", "--m2", "4", "--rays", "8"], "--rays"),
+    (["--m1", "3", "--m2", "4", "--audit-gram"], "--audit-gram"),
+    (["--m", "3", "--curve", "x=y"], "--curve not used by ray slopes"),
+    (["--m", "3", "--tmin", "1e-3", "--tmax", "0.1"], "--tmin, --tmax"),
+    (["--m", "3", "--points", "25"], "--points"),
+    (["--m", "3", "--slope-tol", "0.02"], "--slope-tol"),
+    (["--curve", "x=y"], "--curve"),
 ], ids=["slope-tol-nan", "slope-tol-negative", "slope-tol-inf", "points-cap",
-        "rays-cap", "curve-inf", "curve-nan"])
+        "rays-cap", "curve-inf", "curve-nan", "scan-with-ray-flags",
+        "scan-rays", "scan-audit-gram", "rays-curve", "rays-t-range",
+        "rays-points", "rays-slope-tol", "curve-without-m"])
 def test_bergman_refuses_flags_before_any_estimate(flags, reason, monkeypatch,
                                                    capsys):
     # a NaN or negative --slope-tol flipped the scan verdict under exit 0,
-    # --points and --rays had no cost cap, and a non-finite direction
-    # printed a numpy warning before its error line
+    # --points and --rays had no cost cap, a non-finite direction printed a
+    # numpy warning before its error line, and the flags of the other mode
+    # were ignored under exit 0
     from pshlab import bergman
 
     def no_estimate(*args, **kwargs):
@@ -355,6 +368,7 @@ def test_bergman_refuses_flags_before_any_estimate(flags, reason, monkeypatch,
 
     monkeypatch.setattr(bergman, "curve_scan", no_estimate)
     monkeypatch.setattr(bergman, "lelong_estimate", no_estimate)
+    monkeypatch.setattr(bergman, "gram_matrix", no_estimate)
     rc = main(["bergman", "--preset", "theorem1", *flags])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
