@@ -31,7 +31,6 @@ from .multiplier_ideal import (
     generators,
     ideal_of,
     is_trivial,
-    min_admissible_degree,
 )
 from .polynomials import BivariatePolynomial, ZeroPolynomialError
 from .sequence import (
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 # exact layer; its names are resolved on first access (PEP 562) so that
 # exact-only users and CLI commands never load it.
 _NUMERIC = {
-    "EmptyBasisError": "bergman",
     "GramResult": "bergman",
     "NonIntegrableExponentError": "bergman",
     "QuadratureSpec": "bergman",
@@ -104,7 +102,6 @@ __all__ = [
     "BivariatePolynomial",
     "ComparisonResult",
     "DuplicateLineError",
-    "EmptyBasisError",
     "GaussianRational",
     "GramResult",
     "IdealDescriptor",
@@ -147,7 +144,6 @@ __all__ = [
     "lelong",
     "lelong_estimate",
     "load_arrangement",
-    "min_admissible_degree",
     "monotonicity_report",
     "more_singular_or_equal",
     "new_arrangement",

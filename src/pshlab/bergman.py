@@ -31,13 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .arrangement import HopfChart, WeightedArrangement, hopf_charts
-from .multiplier_ideal import expand, ideal_of, min_admissible_degree
+from .multiplier_ideal import expand, ideal_of
 from .polynomials import BivariatePolynomial
 from .singularity import generic_rays
 
 MIN_SPHERE_SAMPLES = 10_000
 # (r_lo, r_hi, points) of the log-spaced radii `lelong_estimate` fits on,
-# and the degrees `effective_spec` adds above the lowest admissible one
+# and the degrees a raised cutoff keeps above the lowest admissible one
 SLOPE_WINDOW = (1e-3, 1e-1, 25)
 CUTOFF_MARGIN = 4
 SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
@@ -58,10 +58,6 @@ HOPF_JACOBI, HOPF_LEGENDRE, HOPF_ANGLES = 16, 16, 48
 class NonIntegrableExponentError(ArithmeticError):
     """The radial exponent left the integrable range; the basis filter is
     broken if this ever triggers on admissible input."""
-
-
-class EmptyBasisError(ValueError):
-    """No admissible basis element exists below the degree cutoff."""
 
 
 class DenseScaleError(ArithmeticError):
@@ -202,27 +198,6 @@ def _chart_nodes(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
 
 
 @functools.lru_cache(maxsize=16)
-def _panel_nodes(arr: WeightedArrangement, legendre: int, angles: int):
-    """The part of the Hopf rule that depends on the arrangement only: the
-    trapezoid phases and, per chart, the chart with its Gauss-Legendre
-    nodes on the dyadic panels [s1, 2 s1], ..., [1/2, 1].  Keyed by the
-    node counts too, so that a changed rule is rebuilt."""
-    phase = np.exp(2j * np.pi * np.arange(angles) / angles)
-    sl, wl = _gauss_jacobi(legendre, 0.0)
-    charts = []
-    for j, chart in enumerate(hopf_charts(arr)):
-        nodes, weights = [], []
-        edge = chart.s1
-        while edge < 1.0:
-            nodes.append(edge * (1.0 + sl))
-            weights.append(edge * wl)
-            edge *= 2.0
-        charts.append((chart, _chart_nodes(
-            j, chart, np.concatenate(nodes), np.concatenate(weights), phase)))
-    return phase, charts
-
-
-@functools.lru_cache(maxsize=16)
 def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
                 jacobi: int, legendre: int, angles: int
                 ) -> tuple[np.ndarray, ...]:
@@ -233,8 +208,8 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
 
     Chart j (`arrangement.hopf_charts`) carries the measure ds dphi / 2pi
     (the normalized area of CP^1).  Its radial rule is Gauss-Jacobi for
-    s^e_j on the disc [0, s1] (weights divided by s^e_j), then the cached
-    panels of `_panel_nodes`.
+    s^e_j on the disc [0, s1] (weights divided by s^e_j), then
+    Gauss-Legendre on each dyadic panel [s1, 2 s1], ..., [1/2, 1].
 
     Cached per exponent class: e_i = floor(m a_i) - m a_i depends on m only
     through m mod L (L the common denominator of the a_i), so a sweep over
@@ -242,13 +217,19 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
     so that a changed rule is rebuilt.  Only what `gram_matrix` reads is
     kept: w and the line log moduli are dropped.
     """
-    phase, panels = _panel_nodes(arr, legendre, angles)
+    phase = np.exp(2j * np.pi * np.arange(angles) / angles)
+    sl, wl = _gauss_jacobi(legendre, 0.0)
     parts = []
-    for j, ((chart, panel), e) in enumerate(zip(panels, exponents or (0.0,))):
+    for j, (chart, e) in enumerate(zip(hopf_charts(arr), exponents or (0.0,))):
         sj, wj = _gauss_jacobi(jacobi, e)
-        parts.append(_chart_nodes(j, chart, chart.s1 * sj,
-                                  chart.s1 * wj / sj ** e, phase))
-        parts.append(panel)
+        nodes, weights = [chart.s1 * sj], [chart.s1 * wj / sj ** e]
+        edge = chart.s1
+        while edge < 1.0:
+            nodes.append(edge * (1.0 + sl))
+            weights.append(edge * wl)
+            edge *= 2.0
+        parts.append(_chart_nodes(j, chart, np.concatenate(nodes),
+                                  np.concatenate(weights), phase))
     x, y, w, log_moduli = (np.concatenate(part, axis=-1)
                            for part in zip(*parts))
     rule = x, y, np.sqrt(w) * np.exp(np.array(exponents) @ log_moduli)
@@ -335,7 +316,7 @@ class GramResult:
         return out * _dense_factor(self.log_scale, -0.5)
 
     def basis(self) -> list[BivariatePolynomial]:
-        return admissible_basis(self._arr, self.m, self.spec.max_degree)
+        return expand(self._arr, self.line_powers, self.monomials)
 
     def to_dict(self) -> dict:
         return {
@@ -394,14 +375,17 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     e_i = b_i - m a_i lies in (-1, 0], so no factor overflows or underflows
     however large m is; the phase of prod ell_i^b_i cancels in every
     f_j conj(f_k), so it is never formed.
+
+    A cutoff that admits nothing is raised to the lowest admissible degree
+    base + p plus CUTOFF_MARGIN, and the result's `spec` names the cutoff
+    used: slopes near 0 are governed by the lowest admissible degree.
     """
     line_powers, base, cofactor_degrees = _basis_layout(arr, m,
                                                         quad.max_degree)
     if not cofactor_degrees:
-        raise EmptyBasisError(
-            f"no admissible element of degree <= {quad.max_degree} for m={m} "
-            f"(minimal admissible degree is {min_admissible_degree(arr, m)})"
-        )
+        p = cofactor_degrees.start
+        quad = quad.with_max_degree(base + p + CUTOFF_MARGIN)
+        cofactor_degrees = range(p, p + CUTOFF_MARGIN + 1)
     # checked before any list is built: a huge cutoff costs nothing here
     t_lo, t_hi = cofactor_degrees[0], cofactor_degrees[-1]
     if t_hi >= HOPF_ANGLES:
@@ -540,32 +524,12 @@ def _phi_on_points(result: GramResult, x, y) -> np.ndarray:
     return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
 
 
-def effective_spec(arr: WeightedArrangement, m: int, quad: QuadratureSpec
-                   ) -> QuadratureSpec:
-    """Keep the requested degree cutoff unless it admits nothing, in which
-    case raise it to (minimal admissible degree + CUTOFF_MARGIN).  Slopes
-    near 0 are governed by the lowest admissible degree, so the raise is
-    safe."""
-    lowest = min_admissible_degree(arr, m)
-    if quad.max_degree >= lowest:
-        return quad
-    return quad.with_max_degree(lowest + CUTOFF_MARGIN)
-
-
-def _gram_for(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
-              gram: GramResult | None) -> GramResult:
-    """The Gram every report at (arr, m, quad) reads: `gram` if one is
-    given, else the Gram at the effective degree cutoff."""
-    if gram is not None:
-        return gram
-    return gram_matrix(arr, m, effective_spec(arr, m, quad))
-
-
 def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                 point: tuple[complex, complex], *,
                 gram: GramResult | None = None) -> float:
     """Truncated approximation weight (1/2m) log sum |sigma_l(z)|^2."""
-    return float(_phi_on_points(_gram_for(arr, m, quad, gram), *point))
+    result = gram if gram is not None else gram_matrix(arr, m, quad)
+    return float(_phi_on_points(result, *point))
 
 
 @dataclass
@@ -602,7 +566,7 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
     """
     if rays < 1:
         raise ValueError(f"a slope estimate needs rays >= 1, got {rays}")
-    result = _gram_for(arr, m, quad, gram)
+    result = gram if gram is not None else gram_matrix(arr, m, quad)
     r = np.geomspace(*SLOPE_WINDOW)
     log_r = np.log(r)
     u = np.array(generic_rays(arr, rays, quad.seed))
@@ -661,7 +625,8 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
     Delta blows up at the origin."""
     t = np.asarray(t_grid, dtype=np.float64)
     x, y = curve(t)
-    grams = (_gram_for(arr, m1, quad, gram1), _gram_for(arr, m2, quad, gram2))
+    grams = tuple(g if g is not None else gram_matrix(arr, m, quad)
+                  for m, g in ((m1, gram1), (m2, gram2)))
     phi1, phi2 = (_phi_on_points(g, x, y) for g in grams)
     # on a curve inside a line both phi are -inf: the slope is NaN, quietly
     with np.errstate(invalid="ignore"):

@@ -175,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-tol", type=float, default=None,
                    help="|slope| below this counts as flat")
     p.add_argument("--audit-gram", action="store_true", default=None,
-                   help="dump the full Gram estimate (JSON only)")
+                   help="add the Gram the slopes read to the report "
+                        "(--format json only)")
     add_output(p)
 
     return parser
@@ -527,6 +528,8 @@ def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
         raise UsageError("--m must be >= 1")
     if not 1 <= args.rays <= MAX_INDICES:
         raise UsageError(f"need 1 <= --rays <= {MAX_INDICES}")
+    if args.audit_gram and args.format != "json":
+        raise UsageError("--audit-gram needs --format json")
     est = lelong_estimate(arr, args.m, quad, rays=args.rays)
     _require_finite(f"a ray slope of phi_{args.m}", est.per_ray)
     symbolic = lelong(entry(arr, args.m).cls)

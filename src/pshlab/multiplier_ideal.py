@@ -139,12 +139,6 @@ def contains(arr: WeightedArrangement, ideal: IdealDescriptor,
     return True
 
 
-def min_admissible_degree(arr: WeightedArrangement, c) -> int:
-    """Lowest total degree of a nonzero element of J(c*phi)."""
-    ideal = ideal_of(arr, c)
-    return sum(ideal.b) + ideal.p
-
-
 def first_nontrivial_parameter(arr: WeightedArrangement, grid: Fraction,
                                c_max: Fraction) -> Fraction | None:
     """Sweep c over multiples of `grid` and return the first nontrivial one."""

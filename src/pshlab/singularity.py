@@ -213,6 +213,11 @@ def lelong(s: SingularityClass) -> Fraction:
 
 # -- numerical boundedness probe -----------------------------------------
 
+PROBE_DECADES = 6  # scales r = 10^-1..10^-PROBE_DECADES
+PROBE_OFFSETS = (1, 2, 3)  # each line point is pushed off by r^j, j in these
+PROBE_RAYS, PROBE_SEED = 64, 7  # the generic rays sampled at every scale
+PROBE_RISE = 5.0  # a larger rise of the per-scale maximum means unbounded
+
 
 def generic_rays(arr: WeightedArrangement, count: int, seed: int
                  ) -> list[tuple[complex, complex]]:
@@ -233,27 +238,26 @@ def generic_rays(arr: WeightedArrangement, count: int, seed: int
 
 
 @functools.lru_cache(maxsize=16)
-def _probe_geometry(arr: WeightedArrangement, decades: int,
-                    offsets: tuple[int, ...], rays: int, seed: int
+def _probe_geometry(arr: WeightedArrangement
                     ) -> tuple[tuple[tuple[tuple[float, ...], float], ...], ...]:
-    """Per scale r = 10^-1..10^-decades, log line values and log norms.
+    """Per scale r = 10^-1..10^-PROBE_DECADES, log line values and log norms.
 
     Points: each line point p pushed off its line along the unit normal n
-    by eps = r^j for every offset j, plus `rays` fixed generic directions,
-    all scaled by r.  The line values at p + eps n are the chart moduli
-    |ell_k(p) + eps ell_k(n)| of `arrangement.hopf_charts`, where
-    ell_i(p_i) = 0 exactly; plain coordinate arithmetic would absorb
+    by eps = r^j for every j in PROBE_OFFSETS, plus PROBE_RAYS fixed generic
+    directions, all scaled by r.  The line values at p + eps n are the
+    chart moduli |ell_k(p) + eps ell_k(n)| of `arrangement.hopf_charts`,
+    where ell_i(p_i) = 0 exactly; plain coordinate arithmetic would absorb
     offsets below 1e-16 into the unit-size direction.  Lines enter
     unit-normalized, which shifts each log by a constant and moves no rise.
     """
-    directions = generic_rays(arr, rays, seed)
+    directions = generic_rays(arr, PROBE_RAYS, PROBE_SEED)
     per_scale = []
-    for d in range(1, decades + 1):
+    for d in range(1, PROBE_DECADES + 1):
         r = 10.0 ** (-d)
         log_r = math.log(r)
         pts: list[tuple[tuple[float, ...], float]] = []
         for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
-            for j in offsets:
+            for j in PROBE_OFFSETS:
                 eps = r ** j
                 logs = tuple(log_r + math.log(v)
                              for v in chart.moduli(1.0, eps))
@@ -267,21 +271,18 @@ def _probe_geometry(arr: WeightedArrangement, decades: int,
 
 
 def boundedness_probe(arr: WeightedArrangement, s1: SingularityClass,
-                      s2: SingularityClass, *, decades: int = 6,
-                      offsets: tuple[int, ...] = (1, 2, 3), rays: int = 64,
-                      seed: int = 7, rise_threshold: float = 5.0) -> bool:
+                      s2: SingularityClass) -> bool:
     """Sampled verdict on whether psi1 - psi2 is bounded above near 0.
 
     Declares "unbounded" when the per-scale maximum of psi1 - psi2 rises by
-    more than `rise_threshold` across the sampled decades.  The instrument
+    more than PROBE_RISE across the sampled decades.  The instrument
     has finite sensitivity: a violation is guaranteed visible only when
     some approach family has slope <= -1/2 against log r; see the tests for
     the pair generator that respects this.
     """
     *dg, dd = [gap / (s1.den * s2.den) for gap in _gaps(s1, s2)]
-    geometry = _probe_geometry(arr, decades, tuple(offsets), rays, seed)
     maxima = []
-    for pts in geometry:
+    for pts in _probe_geometry(arr):
         maxima.append(max(
             sum(g * ll for g, ll in zip(dg, logs)) + dd * ln
             for logs, ln in pts
@@ -291,4 +292,4 @@ def boundedness_probe(arr: WeightedArrangement, s1: SingularityClass,
     for value in maxima[1:]:
         best_rise = max(best_rise, value - running_min)
         running_min = min(running_min, value)
-    return best_rise <= rise_threshold
+    return best_rise <= PROBE_RISE

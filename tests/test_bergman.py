@@ -8,7 +8,6 @@ from pshlab import bergman, multiplier_ideal
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.bergman import (
     DegreeCutoffError,
-    EmptyBasisError,
     NonIntegrableExponentError,
     QuadratureSpec,
     admissible_basis,
@@ -186,8 +185,7 @@ def test_basis_at_m_1000():
     # share.  J(1000 phi) = (xy(x+y))^666 * (x, y), so the first basis
     # element is x^667 y^666 (x+y)^666 with binomial coefficients.
     quad = QuadratureSpec(12, 100_000, 42)
-    result = gram_matrix(THEOREM1, 1000, bergman.effective_spec(
-        THEOREM1, 1000, quad))
+    result = gram_matrix(THEOREM1, 1000, quad)
     basis = result.basis()
     assert len(basis) == result.basis_size > 1
     assert [f.multiplicity() for f in basis] == [f.degree() for f in basis]
@@ -220,9 +218,30 @@ def test_truncation_monotonicity():
     assert np.all(k_large >= k_small * (1 - 1e-9))
 
 
-def test_empty_basis_raises():
-    with pytest.raises(EmptyBasisError):
-        gram_matrix(THEOREM1, 8, QuadratureSpec(12, 10_000, 1))
+def test_empty_cutoff_raised_by_gram_matrix(monkeypatch):
+    # J(8 phi) on theorem1 starts at degree 15, so cutoff 12 admits
+    # nothing: gram_matrix raises it to 15 + CUTOFF_MARGIN, and the reports
+    # that build their own Gram read that same Gram
+    quad = QuadratureSpec(12, 10_000, 1)
+    result = gram_matrix(THEOREM1, 8, quad)
+    assert result.spec == quad.with_max_degree(19)
+    assert len(result.basis()) == result.basis_size
+    built = []
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    real = bergman.gram_matrix
+    monkeypatch.setattr(bergman, "gram_matrix", recorded)
+    point = (0.01, 0.02j)
+    est = lelong_estimate(THEOREM1, 8, quad, rays=2)
+    phi = bergman_phi(THEOREM1, 8, quad, point)
+    assert [g.spec for g in built] == [result.spec] * 2
+    assert built[0] is est.gram
+    for gram in built:
+        assert np.array_equal(gram.gram, result.gram)
+    assert phi == bergman_phi(THEOREM1, 8, quad, point, gram=result)
 
 
 def test_slope_report_reads_the_gram_it_was_given():
@@ -450,28 +469,24 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
     _doubled_nodes(monkeypatch)
     finer = gram_matrix(arr, m, quad)
     # every count doubled: twice the angles times twice the radial nodes,
-    # so the cached panels must have been rebuilt for the new counts
+    # so the cached rule must have been rebuilt for the new counts
     assert finer.nodes == 4 * result.nodes
     assert _max_relative(result.gram, finer.gram) < 1e-6
 
 
 def test_node_set_shared_across_m():
-    # the arrangement-only part of the rule (charts, panels, Shepard
-    # weights) is built once, and the rule itself once per exponent class
-    # e_i = floor(m a_i) - m a_i: on theorem1 (weights 2/3) m = 1 and m = 4
-    # share e = -2/3, while m = 3 (e = 0) and m = 8 (e = -1/3) do not.
+    # the rule is built once per exponent class e_i = floor(m a_i) - m a_i:
+    # on theorem1 (weights 2/3) m = 1 and m = 4 share e = -2/3, while
+    # m = 3 (e = 0) and m = 8 (e = -1/3) do not.
     # Grams at m = 1, 3, 8, 4 equal, bit for bit, those from a fresh build
     quad = QuadratureSpec(20, 10_000, 1)
-    bergman._panel_nodes.cache_clear()
     bergman._hopf_nodes.cache_clear()
     shared = {m: gram_matrix(THEOREM1, m, quad) for m in (1, 3, 8)}
     assert bergman._hopf_nodes.cache_info().misses == 3
-    assert bergman._panel_nodes.cache_info().hits == 2
     shared[4] = gram_matrix(THEOREM1, 4, quad)
     assert bergman._hopf_nodes.cache_info().hits == 1
     assert bergman._hopf_nodes.cache_info().misses == 3
     for m, result in shared.items():
-        bergman._panel_nodes.cache_clear()
         bergman._hopf_nodes.cache_clear()
         fresh = gram_matrix(THEOREM1, m, quad)
         assert fresh.nodes == result.nodes

@@ -351,16 +351,20 @@ def test_bergman_degenerate_input_exits_2(flags, capsys):
     (["--m", "3", "--points", "25"], "--points"),
     (["--m", "3", "--slope-tol", "0.02"], "--slope-tol"),
     (["--curve", "x=y"], "--curve"),
+    # the audited Gram is printed in JSON only
+    (["--m", "3", "--audit-gram", "--format", "csv"], "--audit-gram"),
+    (["--m", "3", "--audit-gram", "--format", "md"], "--audit-gram"),
 ], ids=["slope-tol-nan", "slope-tol-negative", "slope-tol-inf", "points-cap",
         "rays-cap", "curve-inf", "curve-nan", "scan-with-ray-flags",
         "scan-rays", "scan-audit-gram", "rays-curve", "rays-t-range",
-        "rays-points", "rays-slope-tol", "curve-without-m"])
+        "rays-points", "rays-slope-tol", "curve-without-m", "audit-gram-csv",
+        "audit-gram-md"])
 def test_bergman_refuses_flags_before_any_estimate(flags, reason, monkeypatch,
                                                    capsys):
     # a NaN or negative --slope-tol flipped the scan verdict under exit 0,
     # --points and --rays had no cost cap, a non-finite direction printed a
     # numpy warning before its error line, and the flags of the other mode
-    # were ignored under exit 0
+    # were ignored under exit 0, as was --audit-gram outside JSON
     from pshlab import bergman
 
     def no_estimate(*args, **kwargs):
@@ -469,8 +473,8 @@ def test_bergman_audit_gram_beyond_float_scale(tmp_path, capsys):
     path = tmp_path / "extreme.json"
     path.write_text(json.dumps({**HUGE_NORM, "coeffs": ["1/2", "99/100"]}),
                     encoding="utf-8")
-    flags = ["bergman", "--file", str(path), "--m", "1", "--audit-gram"]
-    rc = main([*flags, "--format", "json"])
+    flags = ["bergman", "--file", str(path), "--m", "1"]
+    rc = main([*flags, "--audit-gram", "--format", "json"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "log_scale" in err

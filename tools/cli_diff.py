@@ -9,13 +9,15 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 23 commands in each of the formats json, csv and md (69 pairs): ``lct``,
+- 25 commands in each of the formats json, csv and md (75 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
-  ray slopes with ``--audit-gram`` and over 64 rays), on presets, on a
-  three-line file arrangement with a Gaussian-rational line and on three
-  files with huge coefficients: the lines x and x + 10^300 y (weights 3/4,
+  ray slopes with ``--audit-gram`` and over 64 rays, and ray slopes at
+  m = 8 and the scan (4, 8), where the default cutoff 12 admits nothing
+  at m = 8 and is raised to 19), on presets, on a three-line file
+  arrangement with a Gaussian-rational line and on three files with huge
+  coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
   ``--audit-gram`` at m = 1 on x, x + 2^1998 y with weight 99/100, whose
   Gram scale leaves the float range.  A format a command does not have
@@ -23,7 +25,7 @@ and exit codes are compared byte for byte:
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (75 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (81 cases in all).
 
 Prints one line per case and a diff excerpt for each difference; exits 1
 if any case differs, 0 otherwise.  Takes a minute or two: the ``bergman``
@@ -99,6 +101,8 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
         ["bergman", *t, "--m", "1", "--rays", "64"],
         ["bergman", *f, "--m", "2", "--rays", "64"],
+        ["bergman", *t, "--m", "8", "--rays", "3"],
+        ["bergman", *t, "--m1", "4", "--m2", "8", "--points", "9"],
     ] + [["bergman", "--file", huge, "--m", "2", "--rays", "3",
           "--samples", "10000"] for huge in huge_files] + [
         ["bergman", "--file", extreme_file, "--m", "1", "--rays", "3",
