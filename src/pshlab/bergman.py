@@ -467,52 +467,52 @@ def _log_kernel(result: GramResult, x, y) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.complex128).ravel()
     y = np.asarray(y, dtype=np.complex128).ravel()
-    out = np.empty(len(x))
-    for start in range(0, len(x), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        out[chunk] = _log_kernel_chunk(result, x[chunk], y[chunk])
-    return out
-
-
-def _log_kernel_chunk(result: GramResult, x: np.ndarray, y: np.ndarray
-                      ) -> np.ndarray:
-    """`_log_kernel` at flat complex points.
-
-    By homogeneity, with z = |z| u: log K(z) = 2 sum_i b_i log|ell_i(u)|
-    - log_scale + logsumexp_d(2d log|z| + log K_d(u)), where K_d is the
-    block-d kernel of the cofactor monomials at u and log|ell_i(u)| the
-    unit form's log modulus plus log|ell_i|.  No power of |z| is ever
-    formed, so high degrees neither underflow nor overflow.
-    """
     r = np.hypot(np.abs(x), np.abs(y))
     unit = np.where(r > 0.0, r, 1.0)
     ux, uy = x / unit, y / unit
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)[:, None]
+    out = np.empty(len(x))
+    for start in range(0, len(x), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        out[chunk] = _log_kernel_chunk(result, ux[chunk], uy[chunk],
+                                       log_r[chunk])[:, 0]
+    return out
+
+
+def _log_kernel_chunk(result: GramResult, ux: np.ndarray, uy: np.ndarray,
+                      log_r: np.ndarray) -> np.ndarray:
+    """log K(r u) at unit directions u and log radii `log_r` (one row per
+    direction, or one row shared by all), one row per direction.
+
+    By homogeneity, log K(r u) = 2 sum_i b_i log|ell_i(u)| - log_scale
+    + logsumexp_d(2d log r + log K_d(u)), where K_d is the block-d kernel
+    of the cofactor monomials at u and log|ell_i(u)| the unit form's log
+    modulus plus log|ell_i|: each K_d(u) is read once for all radii, and
+    no power of r is formed, so high degrees neither underflow nor
+    overflow.  A block of rank 0 reads log 0 = -inf.
+    """
     base = sum(result.line_powers)
     blocks = result.blocks
+    terms = np.empty((len(blocks), len(ux), log_r.shape[1]))
     with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-        log_lines = np.full(len(x), -result.log_scale)
+        log_lines = np.full(len(ux), -result.log_scale)
         for line, power in zip(result._arr.lines, result.line_powers):
             if power:
                 log_lines += 2.0 * power * (np.log(line.modulus(ux, uy))
                                             + line.log_norm)
-        terms = []
-        for block, rows in zip(blocks, _cofactor_blocks(
+        for term, block, rows in zip(terms, blocks, _cofactor_blocks(
                 np.ones(len(ux)), ux, uy, blocks[0].degree - base,
                 blocks[-1].degree - base)):
-            if block.transform.shape[1] == 0:
-                continue
             sigma = block.transform.T @ rows
-            term = np.log(np.sum(sigma.real ** 2 + sigma.imag ** 2, axis=0))
-            if block.degree:  # 0 * log|z| would be NaN at z = 0
+            term[:] = np.log(np.sum(sigma.real ** 2 + sigma.imag ** 2,
+                                    axis=0))[:, None]
+            if block.degree:  # 0 * log r would be NaN at r = 0
                 term += 2.0 * block.degree * log_r
-            terms.append(term)
-        if not terms:
-            return np.full(len(x), -np.inf)
-        terms = np.array(terms)
         top = terms.max(axis=0)
         top = np.where(np.isfinite(top), top, 0.0)  # all -inf at z = 0
-        return log_lines + top + np.log(np.sum(np.exp(terms - top), axis=0))
+        return (log_lines[:, None] + top
+                + np.log(np.sum(np.exp(terms - top), axis=0)))
 
 
 def kernel_values(result: GramResult, x, y) -> np.ndarray:
@@ -550,34 +550,29 @@ class RaySlopes:
         }
 
 
-def _fit_slope(log_r: np.ndarray, values: np.ndarray) -> float:
-    return float(np.polyfit(log_r, values, 1)[0])
+def _slopes(log_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each row of `rows` against `log_t`."""
+    dt = log_t - log_t.mean()
+    return rows @ dt / (dt @ dt)
 
 
 def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                     *, rays: int = 8, gram: GramResult | None = None
                     ) -> RaySlopes:
     """Average slope of phi_hat_m against log r on SLOPE_WINDOW along
-    `rays` (>= 1) generic rays.
-
-    phi_hat is evaluated on all rays x radii in one kernel pass, fed whole
-    rays at a time in calls of at most _CHUNK points (one call up to 327
-    rays); each ray's slope is its own straight-line fit.
-    """
+    `rays` (>= 1) generic rays, all fitted in one product.  The kernel
+    takes _CHUNK // 25 rays (at most _CHUNK values) per pass."""
     if rays < 1:
         raise ValueError(f"a slope estimate needs rays >= 1, got {rays}")
     result = gram if gram is not None else gram_matrix(arr, m, quad)
-    r = np.geomspace(*SLOPE_WINDOW)
-    log_r = np.log(r)
+    log_r = np.log(np.geomspace(*SLOPE_WINDOW))[None, :]
     u = np.array(generic_rays(arr, rays, quad.seed))
-    # whole rays, at most _CHUNK points per pass: the points of 100,000
-    # rays at once would hold 80 MB of coordinates
-    step = max(1, _CHUNK // len(r))
+    step = max(1, _CHUNK // log_r.size)
     phi = np.concatenate([
-        _phi_on_points(result, u[i:i + step, :1] * r, u[i:i + step, 1:] * r)
-        for i in range(0, rays, step)])
-    slopes = [_fit_slope(log_r, row) for row in phi]
-    return RaySlopes(result, float(np.mean(slopes)), slopes)
+        _log_kernel_chunk(result, u[i:i + step, 0], u[i:i + step, 1], log_r)
+        for i in range(0, rays, step)]) / (2.0 * result.m)
+    slopes = _slopes(log_r[0], phi)
+    return RaySlopes(result, float(np.mean(slopes)), slopes.tolist())
 
 
 @dataclass
@@ -630,7 +625,7 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
     phi1, phi2 = (_phi_on_points(g, x, y) for g in grams)
     # on a curve inside a line both phi are -inf: the slope is NaN, quietly
     with np.errstate(invalid="ignore"):
-        slope = _fit_slope(np.log(t), phi2 - phi1)
+        slope = float(_slopes(np.log(t), phi2 - phi1))
     return CurveScan(grams, t, phi1, phi2, slope)
 
 

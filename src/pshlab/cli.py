@@ -25,8 +25,7 @@ from .arrangement import (
     load_arrangement,
     preset,
 )
-from .multiplier_ideal import ExpansionTooLargeError, generator_strings, generators
-from .polynomials import BivariatePolynomial
+from .multiplier_ideal import ExpansionTooLargeError, generator_strings
 from .sequence import (
     SequenceEntry,
     entry,
@@ -74,20 +73,6 @@ def _entry_csv_row(ent: SequenceEntry) -> list[str]:
 
 def _gammas(ent: SequenceEntry) -> str:
     return "(" + ", ".join(str(g) for g in ent.cls.gamma) + ")"
-
-
-def _term_lists(gens: list[BivariatePolynomial]) -> list[list]:
-    """The JSON term lists of `gens`.  From Python 3.11, str() refuses an
-    int of more than sys.get_int_max_str_digits() digits, which a
-    coefficient of an expanded generator can reach."""
-    try:
-        return [g.to_term_list() for g in gens]
-    except ValueError as exc:
-        raise UsageError(
-            f"a generator coefficient has more than "
-            f"{sys.get_int_max_str_digits()} digits, Python's int-to-str "
-            "limit; the csv and md formats do not print coefficients"
-        ) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,7 +226,6 @@ def _cmd_analyze(args) -> int:
                 "m": ent.m,
                 "ideal": ent.ideal.to_dict(),
                 "generators": generator_strings(arr, ent.ideal),
-                "generator_terms": _term_lists(generators(arr, ent.ideal)),
                 "class": ent.cls.to_dict(),
                 "lelong": str(lelong(ent.cls)),
             } for ent in entries],

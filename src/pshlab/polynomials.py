@@ -147,15 +147,7 @@ class BivariatePolynomial:
         return sum(complex(coeff) * (x ** a) * (y ** b)
                    for (a, b), coeff in self.terms())
 
-    # -- serialization / printing --------------------------------------
-
-    def to_term_list(self) -> list[list]:
-        return [[a, b, str(c.re), str(c.im)] for (a, b), c in self.terms()]
-
-    @classmethod
-    def from_term_list(cls, data: Iterable) -> "BivariatePolynomial":
-        return cls({(int(a), int(b)): GaussianRational(Fraction(re), Fraction(im))
-                    for a, b, re, im in data})
+    # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -28,6 +28,11 @@ from .singularity import (
     more_singular_or_equal,
 )
 
+# The finite ranges the claims check: k = 1..100 of the pairs (3k, 3k+2),
+# k = 1..10 of the indices 2^k, k = 0..50 of the indices 3k+2, and
+# m = 1..100 of the smooth and point presets.
+PATTERN_K_MAX, POW2_K_MAX, LINEAR_K_MAX, CLAIM_M_MAX = 100, 10, 50, 100
+
 
 @dataclass(frozen=True)
 class SequenceEntry:
@@ -318,23 +323,23 @@ def _claim_reversal() -> ClaimResult:
     )
 
 
-def _claim_pattern(k_max: int = 100) -> ClaimResult:
+def _claim_pattern() -> ClaimResult:
     arr = preset("theorem1")
-    checks = pattern_violations(arr, k_max)
+    checks = pattern_violations(arr, PATTERN_K_MAX)
     ok = all(c.is_violation for c in checks)
     bad = [c.k for c in checks if not c.is_violation]
     return ClaimResult(
         "truncation-family-3k-3k2",
-        f"every (3k, 3k+2) pair violates monotonicity, k = 1..{k_max} "
+        f"every (3k, 3k+2) pair violates monotonicity, k = 1..{PATTERN_K_MAX} "
         "(no truncation makes the sequence decreasing)",
         ok,
         {"failing_k": bad},
     )
 
 
-def _claim_pow2(k_max: int = 10) -> ClaimResult:
+def _claim_pow2() -> ClaimResult:
     arr = preset("theorem1")
-    entries = [entry(arr, 2 ** k) for k in range(1, k_max + 1)]
+    entries = [entry(arr, 2 ** k) for k in range(1, POW2_K_MAX + 1)]
     verdict = _subsequence_verdict(arr, entries)
     ok = verdict.decreasing
     # Alternating fine structure: gamma strictly increases on steps leaving
@@ -356,16 +361,16 @@ def _claim_pow2(k_max: int = 10) -> ClaimResult:
         ok = ok and step_ok
     return ClaimResult(
         "pow2-subsequence-decreasing",
-        f"the powers-of-two subsequence decreases for k = 1..{k_max}, "
+        f"the powers-of-two subsequence decreases for k = 1..{POW2_K_MAX}, "
         "with the two alternating exponent patterns",
         ok,
         details,
     )
 
 
-def _claim_linear_growth(k_max: int = 50) -> ClaimResult:
+def _claim_linear_growth() -> ClaimResult:
     arr = preset("theorem1")
-    entries = [entry(arr, 3 * k + 2) for k in range(0, k_max + 1)]
+    entries = [entry(arr, 3 * k + 2) for k in range(0, LINEAR_K_MAX + 1)]
     verdict = _subsequence_verdict(arr, entries)
     gamma_ok = all(
         ent.cls.gamma[0] == Fraction(2 * k + 1, 3 * k + 2)
@@ -375,31 +380,31 @@ def _claim_linear_growth(k_max: int = 50) -> ClaimResult:
         and gamma_ok
     return ClaimResult(
         "linear-growth-subsequence",
-        f"the indices 3k+2, k = 0..{k_max}, give a strictly decreasing "
+        f"the indices 3k+2, k = 0..{LINEAR_K_MAX}, give a strictly decreasing "
         "subsequence converging to the weight class",
         ok,
         verdict.to_dict(),
     )
 
 
-def _claim_smooth(m_max: int = 100) -> ClaimResult:
+def _claim_smooth() -> ClaimResult:
     arr = preset("smooth")
     target = class_of_weight(arr)
-    entries = build_sequence(arr, m_max)
+    entries = build_sequence(arr, CLAIM_M_MAX)
     ok = all(
         compare(e.cls, target).relation is Relation.EQUIVALENT for e in entries
     )
     return ClaimResult(
         "smooth-constant-sequence",
-        f"a smooth divisor gives a constant class sequence for m <= {m_max}",
+        f"a smooth divisor gives a constant class sequence for m <= {CLAIM_M_MAX}",
         ok,
         {"violations": _walk(entries)[1]},
     )
 
 
-def _claim_point(m_max: int = 100) -> ClaimResult:
+def _claim_point() -> ClaimResult:
     arr = preset("point")
-    entries = build_sequence(arr, m_max)
+    entries = build_sequence(arr, CLAIM_M_MAX)
     deltas_ok = all(
         e.cls.delta == Fraction(e.m - 1, e.m) and not e.cls.gamma for e in entries
     )
@@ -408,7 +413,7 @@ def _claim_point(m_max: int = 100) -> ClaimResult:
     return ClaimResult(
         "point-strictly-decreasing",
         f"the isotropic point mass gives strictly decreasing classes "
-        f"delta_m = (m-1)/m for m <= {m_max}",
+        f"delta_m = (m-1)/m for m <= {CLAIM_M_MAX}",
         ok,
         {"deltas_match": deltas_ok, "verdict": verdict.to_dict()},
     )

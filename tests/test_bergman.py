@@ -289,9 +289,9 @@ HUGE_LINE = new_arrangement([(1, 0), (1, 10 ** 300)],
 @pytest.mark.parametrize("arr", [THEOREM1, NEAR_MINUS_ONE, HUGE_LINE],
                          ids=["theorem1", "near-minus-one", "huge-line"])
 def test_kernel_chunks_match_one_pass(arr, monkeypatch):
-    # the slopes and a scan, with the kernel taken 10 points at a time,
-    # equal those of one pass over all points (8 rays x 25 radii), and
-    # those of the kernel taken one ray at a time, to 4 ulp
+    # the slopes and a scan, with the kernel taken one ray or 10 points at
+    # a time, equal those of one pass over all points (8 rays x 25 radii),
+    # and the slopes equal those of phi_hat on the points r u, to 4 ulp
     quad = QuadratureSpec(12, 10_000, 42)
     grams = {m: gram_matrix(arr, m, quad) for m in (1, 2)}
     t = np.geomspace(1e-3, 1e-1, 25)
@@ -304,9 +304,11 @@ def test_kernel_chunks_match_one_pass(arr, monkeypatch):
         return est.per_ray, scan.phi1, scan.phi2
 
     one_pass = report()
-    per_ray = [np.polyfit(np.log(r), bergman._phi_on_points(
-                   grams[1], r * u[0], r * u[1]), 1)[0]
-               for u in generic_rays(arr, 8, quad.seed)]
+    # the point path at r u, fitted alike: homogeneity reads each ray's
+    # block kernels once, the point path once per radius
+    per_ray = bergman._slopes(np.log(r), np.array([
+        bergman._phi_on_points(grams[1], r * u[0], r * u[1])
+        for u in generic_rays(arr, 8, quad.seed)]))
     widths = []
     real_blocks = bergman._cofactor_blocks
 
@@ -324,6 +326,25 @@ def test_kernel_chunks_match_one_pass(arr, monkeypatch):
     for whole, parts in zip(one_pass, chunked):
         np.testing.assert_array_max_ulp(np.array(whole), np.array(parts),
                                         maxulp=4)
+
+
+def test_ray_slopes_read_each_direction_once(monkeypatch):
+    # the block kernels of a ray are read once for all its radii, not
+    # once per point r u: N rays send N columns through the blocks
+    gram = gram_matrix(THEOREM1, 1, QUAD)
+    columns = []
+    real_blocks = bergman._cofactor_blocks
+
+    def recorded(common, x, y, *args):
+        columns.append(len(x))
+        return real_blocks(common, x, y, *args)
+
+    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    for rays in (1, 8, 400):
+        columns.clear()
+        lelong_estimate(THEOREM1, 1, QUAD, rays=rays, gram=gram)
+        assert sum(columns) == rays
+        assert max(columns) * 25 <= bergman._CHUNK
 
 
 def test_bergman_phi_bounded_without_singularity():

@@ -89,11 +89,6 @@ def test_form_products_and_powers():
         _form(X * Y).power(2)
 
 
-def test_term_list_round_trip():
-    f = P({(2, 1): ("1/2", "1/3"), (0, 0): 4})
-    assert P.from_term_list(f.to_term_list()) == f
-
-
 def test_str_forms():
     assert str(P.one()) == "1"
     assert str(X * Y) == "x*y"
