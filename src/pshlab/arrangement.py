@@ -108,6 +108,13 @@ class WeightedArrangement:
     point_mass: Fraction
     total_mass: Fraction
 
+    def __hash__(self) -> int:  # every arrangement-keyed cache asks for it
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:  # the dataclass field-tuple hash, computed once
+        return hash((self.lines, self.coeffs, self.point_mass, self.total_mass))
+
     @property
     def key(self) -> tuple[Line, ...]:
         """Identity used to decide whether two singularity classes are comparable."""

@@ -54,12 +54,12 @@ class IntegrabilityVerdict:
 
 
 @functools.lru_cache(maxsize=16)
-def _charts(arr: WeightedArrangement) -> tuple[tuple, ...]:
-    """Per line point, what every component and every multiple c share,
-    built once per arrangement: log s at LEVELS, log alpha and
-    z = beta / alpha on the (level, angle) grid, the chart coordinates as
-    linear forms in (alpha, beta), and the weight's log per unit of c,
-    sum_i -2 a_i log|ell_i(q)|.
+def _charts(arr: WeightedArrangement) -> tuple:
+    """What every component and every multiple c share, stacked over the
+    line points and built once per arrangement: log s at LEVELS (chart x
+    level); log alpha, z = beta / alpha, log|z| and the weight's log per
+    unit of c, sum_i -2 a_i log|ell_i(q)|, on the (chart, level, angle)
+    grid; the chart coordinates as linear forms in (alpha, beta).
 
     Chart j (`arrangement.hopf_charts`) is q = alpha v + beta n, in which
     every line form is alpha ell_i(v) + beta ell_i(n); the weight reads the
@@ -67,44 +67,53 @@ def _charts(arr: WeightedArrangement) -> tuple[tuple, ...]:
     scale of each form) do not move a slope.
     """
     phase = np.exp(2j * np.pi * np.arange(ANGLES) / ANGLES)
-    out = []
-    for chart in hopf_charts(arr)[:len(arr.lines)]:  # no line, no chart
-        spacing = chart.spacing
-        log_s = (math.log(spacing.numerator) - math.log(spacing.denominator)
-                 - math.log(2.0) * np.array(LEVELS, dtype=float))
-        s = np.exp(log_s)[:, None]
-        alpha, beta = np.sqrt(1.0 - s), np.sqrt(s) * phase
-        moduli = chart.moduli(alpha, beta)
-        log_weight = -2.0 * sum(float(a) * np.log(moduli[i])
-                                for i, a in enumerate(arr.coeffs) if a)
-        out.append((log_s, 0.5 * np.log1p(-s), beta / alpha, log_weight,
-                    chart.chart_x, chart.chart_y))
-    return tuple(out)
+    charts = hopf_charts(arr)[:len(arr.lines)]  # no line, no chart
+    log_s = (np.array([math.log(chart.spacing.numerator)
+                       - math.log(chart.spacing.denominator)
+                       for chart in charts])[:, None]
+             - math.log(2.0) * np.array(LEVELS, dtype=float))
+    s = np.exp(log_s)[..., None]
+    alpha, beta = np.sqrt(1.0 - s), np.sqrt(s) * phase
+    moduli = np.array([chart.moduli(*grid)
+                       for chart, *grid in zip(charts, alpha, beta)])
+    log_weight = -2.0 * sum(float(a) * np.log(moduli[:, i])
+                            for i, a in enumerate(arr.coeffs) if a)
+    z = beta / alpha
+    return (log_s, 0.5 * np.log1p(-s), z, np.log(np.abs(z)), log_weight,
+            tuple((chart.chart_x, chart.chart_y) for chart in charts))
 
 
-def _line_margin(form: HomogeneousForm, chart: tuple, c: float
-                 ) -> tuple[float, float]:
-    """(kappa-hat, spread) of one homogeneous component at one line point:
-    the slopes of the log angular mean between levels (s quartered at each
-    step), then Richardson's (4 next - previous) / 3."""
-    log_s, log_alpha, z, log_weight, chart_x, chart_y = chart
+def _margins(components: list[HomogeneousForm], charts: tuple, c: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa-hat, spread) of every homogeneous component at every line
+    point (component x chart), in one pass over (component, chart, level,
+    angle): the slopes of the log angular mean between levels (s quartered
+    at each step), then Richardson's (4 next - previous) / 3."""
+    log_s, log_alpha, z, log_z, log_weight, forms = charts
     # exact, so a zero of order k at the line point gives g_0 = ... =
     # g_(k-1) = 0.0 and no rounding floor hides how fast f_d vanishes
-    g = np.array(scaled_complex(form.substitute(chart_x, chart_y).coeffs))
+    rows = [scaled_complex(form.substitute(x, y).coeffs)
+            for form in components for x, y in forms]
     # f_d = alpha^d z^k sum_i g_(k+i) z^i; z^k in logs cannot underflow
-    k = int(np.flatnonzero(g)[0])
-    g = g[k:]
-    poly = np.full_like(z, g[-1])
-    for coeff in g[-2::-1]:
+    ks = [next(i for i, g in enumerate(row) if g) for row in rows]
+    width = max((len(row) - k for row, k in zip(rows, ks)), default=0)
+    # zero top coefficients pad every row to one width: 0 z + g = g
+    g = np.array([row[k:] + [0j] * (width - len(row) + k)
+                  for row, k in zip(rows, ks)], dtype=complex
+                 ).reshape(len(components), len(forms), width)
+    poly = 0.0
+    for coeff in np.moveaxis(g, -1, 0)[::-1, ..., None, None]:
         poly = poly * z + coeff
-    log_g = 2.0 * (form.degree * log_alpha + k * np.log(np.abs(z))
+    degrees = np.array([form.degree for form in components])
+    log_g = 2.0 * (degrees[:, None, None, None] * log_alpha
+                   + np.reshape(ks, g.shape[:2])[..., None, None] * log_z
                    + np.log(np.abs(poly))) + c * log_weight
-    top = log_g.max(axis=1, keepdims=True)
-    log_mean = top[:, 0] + np.log(np.mean(np.exp(log_g - top), axis=1))
+    top = log_g.max(axis=-1, keepdims=True)
+    log_mean = top[..., 0] + np.log(np.mean(np.exp(log_g - top), axis=-1))
     slopes = np.diff(log_mean) / np.diff(log_s)
-    richardson = (4.0 * slopes[1:] - slopes[:-1]) / 3.0
-    return (float(richardson[-1]) + 1.0,
-            float(abs(richardson[-1] - richardson[-2])))
+    richardson = (4.0 * slopes[..., 1:] - slopes[..., :-1]) / 3.0
+    return (richardson[..., -1] + 1.0,
+            abs(richardson[..., -1] - richardson[..., -2]))
 
 
 def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
@@ -120,15 +129,13 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     # a log of 0 (a chart grid point on a zero) yields a non-finite margin,
     # which fails every comparison below: divergent and undecided
     with np.errstate(divide="ignore", invalid="ignore"):
-        per_line = [[_line_margin(form, chart, float(c))
-                     for form in components] for chart in _charts(arr)]
-    checks = [(kappa, spread, max(20.0 * spread, MIN_RESOLUTION))
-              for found in per_line for kappa, spread in found]
+        kappa, spread = _margins(components, _charts(arr), float(c))
+    tol = np.maximum(20.0 * spread, MIN_RESOLUTION)
     return IntegrabilityVerdict(
-        integrable=radial > 0 and all(kappa > tol for kappa, _, tol in checks),
+        integrable=radial > 0 and bool(np.all(kappa > tol)),
         radial_margin=radial,
-        line_margins=tuple(min(kappa for kappa, _ in found)
-                           for found in per_line),
-        resolution=max([MIN_RESOLUTION] + [tol for *_, tol in checks]),
-        undecided=not all(spread <= MAX_SPREAD for _, spread, _ in checks),
+        line_margins=tuple(min(found) for found in kappa.T.tolist()),
+        # max skips a NaN tolerance
+        resolution=max([MIN_RESOLUTION] + tol.ravel().tolist()),
+        undecided=not np.all(spread <= MAX_SPREAD),
     )

@@ -11,10 +11,9 @@ of the maximal ideal, which is the normal form stored here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import WeightedArrangement
-from .gaussian import integer_ratio, to_fraction
+from .gaussian import integer_ratio
 from .polynomials import BivariatePolynomial, HomogeneousForm, ZeroPolynomialError
 
 # Largest degree sum(b) + p of the generators `generators` expands.  The
@@ -137,16 +136,3 @@ def contains(arr: WeightedArrangement, ideal: IdealDescriptor,
             if h is None:
                 return False
     return True
-
-
-def first_nontrivial_parameter(arr: WeightedArrangement, grid: Fraction,
-                               c_max: Fraction) -> Fraction | None:
-    """Sweep c over multiples of `grid` and return the first nontrivial one."""
-    step = to_fraction(grid)
-    c = step
-    c_max = to_fraction(c_max)
-    while c <= c_max:
-        if not is_trivial(ideal_of(arr, c)):
-            return c
-        c += step
-    return None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pshlab import integrability
 from pshlab.arrangement import (
     ArrangementError,
     DuplicateLineError,
@@ -23,7 +24,7 @@ from pshlab.arrangement import (
     save_arrangement,
 )
 from pshlab.gaussian import GaussianRational
-from pshlab.multiplier_ideal import first_nontrivial_parameter, ideal_of, is_trivial
+from pshlab.multiplier_ideal import ideal_of, is_trivial
 
 THEOREM1 = preset("theorem1")
 
@@ -121,6 +122,17 @@ def _random_arrangement(rng: random.Random):
     return new_arrangement(lines, weights, 0)
 
 
+def first_nontrivial_parameter(arr, step: Fraction, c_max: Fraction):
+    """Sweep c over multiples of `step` up to c_max and return the first
+    at which J(c*phi) is nontrivial, or None."""
+    c = step
+    while c <= c_max:
+        if not is_trivial(ideal_of(arr, c)):
+            return c
+        c += step
+    return None
+
+
 def test_lct_matches_ideal_sweep():
     # first nontrivial c on the 1/60 grid brackets the exact threshold
     rng = random.Random(60)
@@ -134,6 +146,30 @@ def test_lct_matches_ideal_sweep():
         assert not is_trivial(ideal_of(arr, first))
         if first > step:
             assert is_trivial(ideal_of(arr, first - step))
+
+
+def test_hash_is_computed_once_and_keys_equal_arrangements(monkeypatch):
+    lines = [(1, 0), (0, 1), (1, GaussianRational(Fraction(5, 17), Fraction(-3, 19)))]
+    first = new_arrangement(lines, ["3/7", "5/7", "2/7"])
+    second = new_arrangement(lines, ["3/7", "5/7", "2/7"])
+    assert first == second and first is not second
+    assert hash(first) == hash(
+        (first.lines, first.coeffs, first.point_mass, first.total_mass))
+    calls = []
+    line_hash = Line.__hash__
+    monkeypatch.setattr(Line, "__hash__",
+                        lambda line: calls.append(line) or line_hash(line))
+    hash(first)
+    assert calls == []
+    hash(second)  # its first hash reads every line
+    assert len(calls) == 3
+    # equal arrangements built apart share one cache entry; hopf_charts
+    # first, since integrability._charts reads it
+    for cache in (hopf_charts, integrability._charts):
+        before = cache.cache_info()
+        assert cache(first) is cache(second)
+        after = cache.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
 def test_json_round_trip(tmp_path):

@@ -1,9 +1,11 @@
 import importlib.util
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracle_reference import reference_estimate
 
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.gaussian import GaussianRational
@@ -149,10 +151,41 @@ def test_zero_near_a_line_point_is_undecided():
     assert verdict.resolution > 1e-4
 
 
-def test_sweep_smoke():
+def _oracle_sweep():
     path = Path(__file__).resolve().parents[1] / "tools" / "oracle_sweep.py"
     spec = importlib.util.spec_from_file_location("oracle_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    wrong, _undecided = sweep.sweep(100, seed=1)
+    return sweep
+
+
+def test_sweep_smoke():
+    wrong, _undecided = _oracle_sweep().sweep(100, seed=1)
     assert wrong == []
+
+
+def test_batched_margins_match_per_chart_reference():
+    # the one broadcast pass performs the per-(component, chart) loop's
+    # arithmetic in the same order, so every verdict is equal bit for bit;
+    # float reprs round-trip, so equal reprs mean equal bits, NaN included
+    cases = [(THEOREM1, X * Y * (X + Y) + X ** 4 + Y ** 5, c)
+             for c in (1, Fraction(3, 2), 2, 3)]
+    cases += [(preset("point"), f, c) for f in (P.one(), X + Y ** 2)
+              for c in (1, 2)]
+    draw, sweep = random.Random("oracle-sweep:0"), _oracle_sweep()
+    cases += [sweep.draw_case(draw) for _ in range(200)]
+    # non-finite margins: 10^300 underflows some scaled chart coefficients
+    # to 0.0, so the float order of vanishing exceeds the exact one; lines
+    # 2^-600 apart make s underflow to 0 on their charts
+    big = new_arrangement([(1, 0), (1, 10 ** 300), (0, 1)],
+                          [Fraction(2, 3)] * 3)
+    close = new_arrangement([(1, 0), (1, Fraction(1, 2 ** 600)), (0, 1)],
+                            [Fraction(1, 2)] * 3)
+    odd = [(big, (X + 10 ** 300 * Y) ** 2 * (X + Y) + X ** 4, 1),
+           (close, P.one(), 1), (close, X * Y + Y ** 3, 1)]
+    for arr, f, c in odd:
+        margins = integrability_estimate(arr, f, c).line_margins
+        assert not all(math.isfinite(k) for k in margins)
+    for arr, f, c in cases + odd:
+        assert repr(integrability_estimate(arr, f, c)) == \
+            repr(reference_estimate(arr, f, c)), (arr.describe(), str(f), c)

@@ -13,7 +13,8 @@ exactly on a threshold.  It compares ``integrability_estimate(arr, f,
 c).integrable`` with ``contains(arr, ideal_of(arr, c), f)``.
 
 Prints the case count, the wrong and undecided verdicts, each wrong case,
-and exits 1 if any verdict is wrong.
+and exits 1 if any verdict is wrong.  The sweep's wall time goes to
+stderr, so stdout stays comparable between versions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
 from fractions import Fraction
 
 from pshlab import (ArrangementError, GaussianRational, contains, ideal_of,
@@ -81,7 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cases", type=int, default=2400)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     wrong, undecided = sweep(args.cases, args.seed)
+    print(f"wall {time.perf_counter() - start:.2f} s", file=sys.stderr)
     for line in wrong:
         print("WRONG", line)
     print(f"cases {args.cases}, wrong {len(wrong)}, undecided {undecided}")
