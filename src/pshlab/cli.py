@@ -28,12 +28,13 @@ from .arrangement import (
 from .multiplier_ideal import ExpansionTooLargeError, generator_strings
 from .sequence import (
     SequenceEntry,
+    _entries,
     entry,
     monotonicity_report,
     resolve_claims,
     verify_paper,
 )
-from .singularity import Relation, compare, lelong
+from .singularity import Relation, compare, lelong, ratio_str
 
 
 class UsageError(Exception):
@@ -65,14 +66,17 @@ def markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join([line(header), rule, *(line(r) for r in rows)])
 
 
+def _exponents(ent: SequenceEntry, md: bool) -> list[str]:
+    """The gamma, delta and nu cells of an entry, each exponent printed as
+    str(Fraction) prints it."""
+    num, den = ent.cls.num, ent.cls.den
+    *gamma, delta, nu = [ratio_str(n, den) for n in (*num, sum(num))]
+    return [f"({', '.join(gamma)})" if md else ";".join(gamma), delta, nu]
+
+
 def _entry_csv_row(ent: SequenceEntry) -> list[str]:
     return [str(ent.m), ";".join(str(v) for v in ent.ideal.b),
-            str(ent.ideal.p), ";".join(str(g) for g in ent.cls.gamma),
-            str(ent.cls.delta), str(lelong(ent.cls))]
-
-
-def _gammas(ent: SequenceEntry) -> str:
-    return "(" + ", ".join(str(g) for g in ent.cls.gamma) + ")"
+            str(ent.ideal.p), *_exponents(ent, md=False)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,7 +220,7 @@ def _cmd_analyze(args) -> int:
         ms = args.m if args.m else [1]
     if any(m < 1 for m in ms):
         raise UsageError("approximation indices must be >= 1")
-    entries = [entry(arr, m) for m in ms]
+    entries = _entries(arr, ms)
 
     def to_json() -> dict:
         return {
@@ -238,8 +242,8 @@ def _cmd_analyze(args) -> int:
         return markdown_table(
             ["m", "ideal (b; p)", "generators", "gamma", "delta", "nu"],
             [[ent.m, f"{list(ent.ideal.b)}; {ent.ideal.p}",
-              ", ".join(generator_strings(arr, ent.ideal)), _gammas(ent),
-              ent.cls.delta, lelong(ent.cls)] for ent in entries])
+              ", ".join(generator_strings(arr, ent.ideal)),
+              *_exponents(ent, md=True)] for ent in entries])
 
     try:
         _emit(args, to_json, to_csv, to_markdown)
@@ -300,8 +304,8 @@ def _cmd_sequence(args) -> int:
         verdicts = ["-"] + [_MD_VERDICTS[c.relation] for c in report.comparisons]
         text = markdown_table(
             ["m", "b", "p", "gamma", "delta", "nu", "vs previous"],
-            [[ent.m, list(ent.ideal.b), ent.ideal.p, _gammas(ent),
-              ent.cls.delta, lelong(ent.cls), verdict]
+            [[ent.m, list(ent.ideal.b), ent.ideal.p,
+              *_exponents(ent, md=True), verdict]
              for ent, verdict in zip(entries, verdicts)])
         if report.violations:
             pairs = ", ".join(f"({a},{b})" for a, b in report.violations)

@@ -131,11 +131,11 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa, spread = _margins(components, _charts(arr), float(c))
     tol = np.maximum(20.0 * spread, MIN_RESOLUTION)
+    # numpy's min and max, unlike Python's, carry a NaN through
     return IntegrabilityVerdict(
         integrable=radial > 0 and bool(np.all(kappa > tol)),
         radial_margin=radial,
-        line_margins=tuple(min(found) for found in kappa.T.tolist()),
-        # max skips a NaN tolerance
-        resolution=max([MIN_RESOLUTION] + tol.ravel().tolist()),
+        line_margins=tuple(kappa.min(axis=0).tolist()),
+        resolution=float(tol.max(initial=MIN_RESOLUTION)),
         undecided=not np.all(spread <= MAX_SPREAD),
     )

@@ -27,7 +27,7 @@ class ExpansionTooLargeError(ValueError):
     """Generators of degree above MAX_GENERATOR_DEGREE were requested."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdealDescriptor:
     """Normal form of a multiplier ideal: prod ell_i^{b_i} * m^p.
 
@@ -48,13 +48,16 @@ def ideal_of(arr: WeightedArrangement, c) -> IdealDescriptor:
     n, d = integer_ratio(c)
     if n < 0:
         raise ValueError("multiplier ideal parameter must be nonnegative")
-    # c = n/d and a_i = A_i/L, so floor(c*a_i) = n*A_i // (d*L), d*L > 0
     weights, total, den = arr.scaled_weights
-    den *= d
+    return IdealDescriptor(*floor_data(weights, total, den * d, n))
+
+
+def floor_data(weights: tuple[int, ...], total: int, den: int, n: int
+               ) -> tuple[tuple[int, ...], int, int]:
+    """(b, e, p) of J((n/d)*phi) for weights A_i/L, mass T/L, den = d*L."""
     b = tuple([n * a // den for a in weights])
     e = n * total // den - 1
-    p = max(0, e - sum(b))
-    return IdealDescriptor(b=b, e=e, p=p)
+    return b, e, max(0, e - sum(b))
 
 
 def is_trivial(ideal: IdealDescriptor) -> bool:

@@ -14,18 +14,18 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .arrangement import WeightedArrangement, preset
-from .multiplier_ideal import IdealDescriptor, generator_strings, generators, ideal_of
+from .multiplier_ideal import (IdealDescriptor, floor_data, generator_strings,
+                               generators, ideal_of)
 from .polynomials import BivariatePolynomial
 from .singularity import (
     ComparisonResult,
     Relation,
     SingularityClass,
-    class_of_ideal,
     class_of_weight,
     compare,
     directed_violation,
-    lelong,
     more_singular_or_equal,
+    ratio_str,
 )
 
 # The finite ranges the claims check: k = 1..100 of the pairs (3k, 3k+2),
@@ -34,7 +34,7 @@ from .singularity import (
 PATTERN_K_MAX, POW2_K_MAX, LINEAR_K_MAX, CLAIM_M_MAX = 100, 10, 50, 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceEntry:
     m: int
     ideal: IdealDescriptor
@@ -45,21 +45,33 @@ class SequenceEntry:
             "m": self.m,
             "ideal": self.ideal.to_dict(),
             "class": self.cls.to_dict(),
-            "lelong": str(lelong(self.cls)),
+            "lelong": ratio_str(sum(self.cls.num), self.cls.den),
         }
 
 
+def _entries(arr: WeightedArrangement, ms: Iterable[int]
+             ) -> list[SequenceEntry]:
+    """The entries at the indices ms (each m >= 1) in one integer pass:
+    J(m*phi) by `floor_data`, and its class with exponents b_i/m and p/m."""
+    (weights, total, den), key = arr.scaled_weights, arr.key
+    out = []
+    for m in ms:
+        b, e, p = floor_data(weights, total, den, m)
+        out.append(SequenceEntry(m, IdealDescriptor(b, e, p),
+                                 SingularityClass.scaled(key, (*b, p), m)))
+    return out
+
+
 def entry(arr: WeightedArrangement, m: int) -> SequenceEntry:
-    if m < 1:
-        raise ValueError("approximation index must be >= 1")
-    ideal = ideal_of(arr, m)
-    return SequenceEntry(m=m, ideal=ideal, cls=class_of_ideal(arr, ideal, m))
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("approximation index must be an integer >= 1")
+    return _entries(arr, (m,))[0]
 
 
 def build_sequence(arr: WeightedArrangement, m_max: int) -> list[SequenceEntry]:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    return [entry(arr, m) for m in range(1, m_max + 1)]
+    return _entries(arr, range(1, m_max + 1))
 
 
 def _walk(entries: Sequence[SequenceEntry]
@@ -112,8 +124,8 @@ def pattern_violations(arr: WeightedArrangement, k_max: int) -> list[PatternChec
     violation; for other arrangements the checks are reported unasserted.
     """
     out = []
-    for k in range(1, k_max + 1):
-        lo, hi = entry(arr, 3 * k), entry(arr, 3 * k + 2)
+    lows, highs = (_entries(arr, range(r, 3 * k_max + r, 3)) for r in (3, 5))
+    for k, (lo, hi) in enumerate(zip(lows, highs), start=1):
         relation = compare(hi.cls, lo.cls).relation
         out.append(
             PatternCheck(
@@ -180,7 +192,7 @@ def check_subsequence(arr: WeightedArrangement, indices: Iterable[int]
         a >= b for a, b in zip(idx, idx[1:])
     ):
         raise ValueError("indices must be a strictly increasing list of m >= 1")
-    return _subsequence_verdict(arr, [entry(arr, m) for m in idx])
+    return _subsequence_verdict(arr, _entries(arr, idx))
 
 
 # -- full report ----------------------------------------------------------
@@ -339,7 +351,7 @@ def _claim_pattern() -> ClaimResult:
 
 def _claim_pow2() -> ClaimResult:
     arr = preset("theorem1")
-    entries = [entry(arr, 2 ** k) for k in range(1, POW2_K_MAX + 1)]
+    entries = _entries(arr, [2 ** k for k in range(1, POW2_K_MAX + 1)])
     verdict = _subsequence_verdict(arr, entries)
     ok = verdict.decreasing
     # Alternating fine structure: gamma strictly increases on steps leaving
@@ -370,7 +382,7 @@ def _claim_pow2() -> ClaimResult:
 
 def _claim_linear_growth() -> ClaimResult:
     arr = preset("theorem1")
-    entries = [entry(arr, 3 * k + 2) for k in range(0, LINEAR_K_MAX + 1)]
+    entries = _entries(arr, [3 * k + 2 for k in range(0, LINEAR_K_MAX + 1)])
     verdict = _subsequence_verdict(arr, entries)
     gamma_ok = all(
         ent.cls.gamma[0] == Fraction(2 * k + 1, 3 * k + 2)

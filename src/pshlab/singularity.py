@@ -30,6 +30,12 @@ from .gaussian import integer_ratio, to_fraction
 from .multiplier_ideal import IdealDescriptor
 
 
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class ArrangementMismatchError(ValueError):
     """Classes over different line lists cannot be compared."""
 
@@ -68,7 +74,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class SingularityClass:
     """Exponent data (gamma; delta) of a representative weight.
 
@@ -85,8 +91,9 @@ class SingularityClass:
     def __init__(self, key: tuple[Line, ...], gamma, delta):
         exps = [to_fraction(q) for q in (*gamma, delta)]
         den = math.lcm(*(q.denominator for q in exps))  # already reduced
-        self.__dict__.update(key=key, den=den, num=tuple(
-            q.numerator * (den // q.denominator) for q in exps))
+        num = tuple(q.numerator * (den // q.denominator) for q in exps)
+        for name, value in (("key", key), ("num", num), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def scaled(cls, key: tuple[Line, ...], num: tuple[int, ...], den: int
@@ -94,9 +101,11 @@ class SingularityClass:
         """The class with exponents num[i]/den (delta last), den > 0."""
         g = math.gcd(den, *num)
         if g != 1:
-            num, den = tuple(n // g for n in num), den // g
+            num, den = tuple([n // g for n in num]), den // g
         self = object.__new__(cls)
-        self.__dict__.update(key=key, num=num, den=den)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         return self
 
     @property
@@ -112,7 +121,8 @@ class SingularityClass:
         return Fraction(sum(self.num), self.den)
 
     def to_dict(self) -> dict:
-        return {"gamma": [str(g) for g in self.gamma], "delta": str(self.delta)}
+        *gamma, delta = [ratio_str(n, self.den) for n in self.num]
+        return {"gamma": gamma, "delta": delta}
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +204,9 @@ def compare(s1: SingularityClass, s2: SingularityClass) -> ComparisonResult:
     """Full comparison of s1 relative to s2; the witnesses of a failed
     direction are built only when read."""
     # psi1 <= psi2 fails iff a gamma gap or the total gap is negative
-    *gaps, delta_gap = _gaps(s1, s2)
-    total = sum(gaps) + delta_gap
+    gaps = _gaps(s1, s2)
+    total = sum(gaps)
+    gaps.pop()  # the delta gap, which enters only the total
     forward_fails = total < 0 or min(gaps, default=0) < 0
     if total > 0 or max(gaps, default=0) > 0:  # psi2 <= psi1 fails
         relation = Relation.INCOMPARABLE if forward_fails else \

@@ -7,7 +7,8 @@ one `line_margin` per (component, chart) pair, each with its own Horner
 loop, angular log-mean-exp and Richardson step.  Both perform the same
 floating-point operations in the same order, so `reference_estimate`
 must return a verdict equal to the oracle's bit for bit, NaN margins
-included.
+included.  A NaN margin makes its line's margin NaN, and a NaN tolerance
+makes the resolution NaN.
 """
 
 import math
@@ -72,8 +73,15 @@ def reference_estimate(arr, f, c) -> IntegrabilityVerdict:
     return IntegrabilityVerdict(
         integrable=radial > 0 and all(kappa > tol for kappa, _, tol in checks),
         radial_margin=radial,
-        line_margins=tuple(min(kappa for kappa, _ in found)
+        line_margins=tuple(nan_aware(min, [kappa for kappa, _ in found])
                            for found in per_line),
-        resolution=max([MIN_RESOLUTION] + [tol for *_, tol in checks]),
+        resolution=nan_aware(max, [MIN_RESOLUTION]
+                             + [tol for *_, tol in checks]),
         undecided=not all(spread <= MAX_SPREAD for _, spread, _ in checks),
     )
+
+
+def nan_aware(pick, values: list[float]) -> float:
+    """pick(values), or NaN if any value is NaN: Python's min and max skip
+    a NaN that does not come first."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracle_reference import reference_estimate
 
@@ -189,3 +190,30 @@ def test_batched_margins_match_per_chart_reference():
     for arr, f, c in cases + odd:
         assert repr(integrability_estimate(arr, f, c)) == \
             repr(reference_estimate(arr, f, c)), (arr.describe(), str(f), c)
+
+
+def test_nan_margins_reach_the_verdict(monkeypatch):
+    # lines 2^-540 apart: s underflows to 0 on their two charts, whose
+    # margins are NaN; the resolution and each such line margin must say
+    # so (Python's max and min skipped a NaN that did not come first)
+    close = new_arrangement([(1, 0), (1, Fraction(1, 2 ** 540)), (0, 1)],
+                            [Fraction(1, 2)] * 3)
+    for f in (P.one(), P.one() + X):  # one and two components
+        verdict = integrability_estimate(close, f, 1)
+        assert math.isnan(verdict.resolution)
+        assert [math.isnan(k) for k in verdict.line_margins] == \
+            [True, True, False]
+        assert verdict.line_margins[2] == pytest.approx(0.5, abs=1e-6)
+        assert verdict.undecided and not verdict.integrable
+    # a NaN margin of the second component at one line point, the first
+    # one finite there
+    from pshlab import integrability
+
+    nan = math.nan
+    monkeypatch.setattr(integrability, "_margins", lambda *args: (
+        np.array([[0.5, 0.5, 0.5], [nan, 0.25, 1.5]]),
+        np.array([[0.0, 0.0, 0.0], [nan, 0.0, 0.0]])))
+    verdict = integrability_estimate(THEOREM1, P.one() + X, 1)
+    assert math.isnan(verdict.line_margins[0])
+    assert verdict.line_margins[1:] == (0.25, 0.5)
+    assert math.isnan(verdict.resolution)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+import sequence_reference as ref
 from hypothesis import given, settings, strategies as st
 
+from pshlab import sequence
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.multiplier_ideal import ideal_of
 from pshlab.sequence import (
+    _walk,
     adjacent_violations,
     build_sequence,
     check_subsequence,
@@ -16,7 +19,9 @@ from pshlab.sequence import (
     verify_paper,
 )
 from pshlab.singularity import (
+    ArrangementMismatchError,
     Relation,
+    SingularityClass,
     class_of_ideal,
     class_of_weight,
     compare,
@@ -228,3 +233,81 @@ def test_convergence_certificate_on_weight_limit():
     last = entry(THEOREM1, 152).cls  # 3k+2 for k = 50
     assert max(abs(a - g) for a, g in zip(target.gamma, last.gamma)) <= Fraction(1, 152)
     assert last.delta <= Fraction(2, 152)
+
+
+# weights k/q with q near the 1000-bit limit of arrangement files
+BIG_WEIGHTS = st.integers(2 ** 990, 2 ** 1000 - 1).flatmap(
+    lambda q: st.integers(0, 2 * q).map(lambda k: Fraction(k, q)))
+
+
+@st.composite
+def reference_arrangements(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return preset("point")  # no lines
+    lines = draw(st.lists(st.sampled_from(LINE_CHOICES), max_size=4,
+                          unique=True))
+    weight = st.one_of(st.just(Fraction(0)), BIG_WEIGHTS,
+                       st.fractions(min_value=0, max_value=2,
+                                    max_denominator=7))
+    weights = draw(st.lists(weight, min_size=len(lines),
+                            max_size=len(lines)))
+    return new_arrangement(lines, weights, draw(weight))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(reference_arrangements(), st.integers(2, 40),
+       st.lists(st.integers(1, 400), min_size=1, max_size=10, unique=True)
+       .map(sorted),
+       st.integers(1, 20))
+def test_reports_match_per_entry_reference(arr, m_max, indices, k_max):
+    got = monotonicity_report(arr, m_max, indices)
+    want = ref.report(arr, m_max, indices)
+    assert got.entries == want.entries
+    assert got.comparisons == want.comparisons  # relations and witnesses
+    assert [c.pair for c in got.comparisons] == \
+        [c.pair for c in want.comparisons]
+    assert got.violations == want.violations
+    assert got.subsequence == want.subsequence
+    assert got.to_dict() == want.to_dict()
+    assert check_subsequence(arr, indices) == ref.subsequence(arr, indices)
+    assert pattern_violations(arr, k_max) == ref.pattern_violations(arr, k_max)
+    # the integer rendering prints each exponent as str(Fraction) does
+    for ent in got.entries:
+        cls = ent.cls
+        assert ent.to_dict()["class"] == {
+            "gamma": [str(g) for g in cls.gamma], "delta": str(cls.delta)}
+        assert ent.to_dict()["lelong"] == str(cls.total)
+
+
+def test_verify_paper_matches_per_entry_reference(monkeypatch):
+    want = verify_paper().to_dict()
+    monkeypatch.setattr(sequence, "_entries", ref.entries)
+    monkeypatch.setattr(sequence, "_walk", ref.walk)
+    monkeypatch.setattr(sequence, "compare", ref.compare)
+    assert verify_paper().to_dict() == want
+
+
+def test_entry_needs_an_integer_index():
+    with pytest.raises(ValueError):
+        entry(THEOREM1, Fraction(7, 2))
+    assert entry(THEOREM1, 4) == ref.entry(THEOREM1, 4)
+
+
+def test_walk_refuses_entries_of_two_arrangements():
+    mixed = [entry(THEOREM1, 1), entry(preset("smooth"), 2)]
+    with pytest.raises(ArrangementMismatchError):
+        _walk(mixed)
+
+
+def test_value_classes_have_no_instance_dict():
+    # A report to m = 2,000 holds 2,000 of each class.  A variant that built
+    # them with object.__new__ and an instance __dict__ raised the peak RSS
+    # of the exact-sequence benchmark from 26.3 to 29.4 MB (+12 %) on
+    # Python 3.11.
+    ent = entry(THEOREM1, 4)
+    scaled = SingularityClass.scaled(THEOREM1.key, (2, 2, 2, 1), 4)
+    for obj in (ent, ent.ideal, ent.cls, scaled, class_of_weight(THEOREM1),
+                ideal_of(THEOREM1, 3)):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    assert scaled == SingularityClass(THEOREM1.key, [Fraction(1, 2)] * 3,
+                                      Fraction(1, 4))

@@ -9,7 +9,7 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 25 commands in each of the formats json, csv and md (75 pairs): ``lct``,
+- 29 commands in each of the formats json, csv and md (87 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
@@ -20,12 +20,15 @@ and exit codes are compared byte for byte:
   coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
   ``--audit-gram`` at m = 1 on x, x + 2^1998 y with weight 99/100, whose
-  Gram scale leaves the float range.  A format a command does not have
-  must fail the same way on both sides;
+  Gram scale leaves the float range; ``sequence`` (``--m-max 200`` and
+  ``--indices pow2``), ``compare`` and ``analyze --m 1 3`` on lines x, y
+  and x + y whose weights and point mass have denominators of about 1000
+  bits, the file limit.  A format a command does not have must fail the
+  same way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (81 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (93 cases in all).
 
 Prints one line per case and a diff excerpt for each difference; exits 1
 if any case differs, 0 otherwise.  Takes a minute or two: the ``bergman``
@@ -69,14 +72,25 @@ HUGE_FILES = {
     "HUGE_NORM": {"lines": [["1", "0"], ["1/" + str(2 ** 999), str(2 ** 999)]],
                   "coeffs": ["1/2", "3/4"]},
 }
+# weights and point mass over denominators 5^430 and 7^355 - 2 (998 and 997
+# bits): the sequence kernel's integers, not the Bergman layer's floats
+BIG_WEIGHTS = {
+    "lines": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]],
+              [["1", "0"], ["1", "0"]]],
+    "coeffs": [f"{k * 5 ** 429 + r}/{5 ** 430}"
+               for k, r in ((3, 1), (2, -1), (4, -1))],
+    "point_mass": f"{7 ** 354}/{7 ** 355 - 2}",
+}
+
 # x + 2^1998 y with weight 99/100: log_scale -2742 at m = 1, beyond the
 # float range of the dense Gram views (audited only, at m = 1)
 EXTREME_SCALE = {**HUGE_FILES["HUGE_NORM"], "coeffs": ["1/2", "99/100"]}
 
 
 def cases(arrangement_file: str, huge_files: list[str],
-          extreme_file: str) -> list[list[str]]:
+          extreme_file: str, big_weights_file: str) -> list[list[str]]:
     f = ["--file", arrangement_file]
+    big = ["--file", big_weights_file]
     t = ["--preset", "theorem1"]
     fast = ["--samples", "10000", "--points", "9"]
     commands = [
@@ -93,6 +107,10 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["verify-paper", "--claims", "prop2", "thm1"],
         ["analyze", *t, "--m-max", "12"],
         ["analyze", *f, "--m", "1", "3", "7"],
+        ["sequence", *big, "--m-max", "200"],
+        ["sequence", *big, "--indices", "pow2"],
+        ["compare", *big, "--m1", "4", "--m2", "3"],
+        ["analyze", *big, "--m", "1", "3"],
         ["bergman", *t, "--m1", "3", "--m2", "4", "--curve", "x=y", *fast],
         ["bergman", *t, "--m1", "3", "--m2", "5", "--curve",
          "dir:0.6,0.1,0.3,-0.7", *fast],
@@ -133,12 +151,12 @@ def main(argv: list[str]) -> int:
         path = Path(tmp) / "arrangement.json"
         path.write_text(json.dumps(FILE_ARRANGEMENT), encoding="utf-8")
         huge = {}
-        for name, data in {**HUGE_FILES, "EXTREME_SCALE": EXTREME_SCALE
-                           }.items():
+        for name, data in {**HUGE_FILES, "EXTREME_SCALE": EXTREME_SCALE,
+                           "BIG_WEIGHTS": BIG_WEIGHTS}.items():
             huge[name] = Path(tmp) / f"{name.lower()}.json"
             huge[name].write_text(json.dumps(data), encoding="utf-8")
         all_cases = cases(str(path), [str(huge[name]) for name in HUGE_FILES],
-                          str(huge["EXTREME_SCALE"]))
+                          str(huge["EXTREME_SCALE"]), str(huge["BIG_WEIGHTS"]))
         for argv_ in all_cases:
             label = " ".join(argv_[2:] if argv_[0] == "-m" else argv_)
             label = label.replace(str(path), "FILE").replace(str(ROOT), ".")
