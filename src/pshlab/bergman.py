@@ -8,12 +8,13 @@ over the unit sphere S^3.  The weight is invariant under z -> e^{i theta} z,
 so elements of different total degree are orthogonal, and the same-degree
 sphere integrands are constant on the Hopf fibres: their means are
 integrals over CP^1, taken with a deterministic rule graded toward the
-line points.  The Gram matrix is computed and factorized one degree block
-at a time to an orthonormal basis, giving a computable lower truncation
-phi_hat of phi_m whose slopes near 0 recover the symbolic singularity
-data.  Lines enter as unit forms; their norms make one exact log scale per
-Gram.  The kernel is evaluated in log space by homogeneity, so high
-degrees neither underflow nor overflow.
+line points.  Only the top degree block is accumulated over the nodes:
+|x|^2 + |y|^2 = 1 on S^3 gives each lower block from the one above.  Each
+block is factorized on its own to an orthonormal basis, giving a
+computable lower truncation phi_hat of phi_m whose slopes near 0 recover
+the symbolic singularity data.  Lines enter as unit forms; their norms
+make one exact log scale per Gram.  The kernel is evaluated in log space
+by homogeneity, so high degrees neither underflow nor overflow.
 
 Admissibility of a basis element is decided symbolically (ideal
 membership); the quadrature never gets to vote on integrability.
@@ -368,13 +369,16 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     """Gram matrix of the admissible basis, one degree block at a time,
     with the orthonormalizing transform.
 
-    Each block is sum(rows * conj(rows)^T) over the Hopf rule nodes, rows
-    being the cofactor monomials times one common factor per node,
-    |prod ell_i^b_i| e^{-m phi} sqrt(w) = exp(sum_i e_i log|ell_i|) sqrt(w)
-    for the unit forms ell_i, from the nodes' line log moduli.  Each
-    e_i = b_i - m a_i lies in (-1, 0], so no factor overflows or underflows
-    however large m is; the phase of prod ell_i^b_i cancels in every
-    f_j conj(f_k), so it is never formed.
+    The block of cofactor degree t scales S_t = sum(rows * conj(rows)^T)
+    over the Hopf rule nodes, rows being the cofactor monomials times one
+    common factor per node, |prod ell_i^b_i| e^{-m phi} sqrt(w) =
+    exp(sum_i e_i log|ell_i|) sqrt(w) for the unit forms ell_i, from the
+    nodes' line log moduli.  Each e_i = b_i - m a_i lies in (-1, 0], so no
+    factor overflows or underflows however large m is; the phase of
+    prod ell_i^b_i cancels in every f_j conj(f_k), so it is never formed.
+    Only the top block is accumulated over the nodes: every node lies on
+    S^3, so multiplying block t's integrand by |x|^2 + |y|^2 = 1 gives
+    S_t[i, j] = S_{t+1}[i, j] + S_{t+1}[i+1, j+1].
 
     A cutoff that admits nothing is raised to the lowest admissible degree
     base + p plus CUTOFF_MARGIN, and the result's `spec` names the cutoff
@@ -387,7 +391,7 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         quad = quad.with_max_degree(base + p + CUTOFF_MARGIN)
         cofactor_degrees = range(p, p + CUTOFF_MARGIN + 1)
     # checked before any list is built: a huge cutoff costs nothing here
-    t_lo, t_hi = cofactor_degrees[0], cofactor_degrees[-1]
+    t_hi = cofactor_degrees[-1]
     if t_hi >= HOPF_ANGLES:
         raise DegreeCutoffError(
             f"degree cutoff {quad.max_degree} reaches cofactor degree {t_hi} "
@@ -407,21 +411,18 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     x, y, common = _hopf_nodes(arr, exponents, HOPF_JACOBI, HOPF_LEGENDRE,
                                HOPF_ANGLES)
 
-    sums = [np.zeros((t + 1, t + 1), dtype=np.complex128)
-            for t in cofactor_degrees]
-    # Work buffers for the largest block, allocated once per call: every
-    # chunk reuses them, so the accumulation loop allocates nothing sizeable.
+    # work buffers for the top block, allocated once and reused by every chunk
     size = (t_hi + 1) * min(_CHUNK, len(x))
     work = (np.empty(size, dtype=np.complex128),
             np.empty(size, dtype=np.complex128))
-    conj = np.empty(size, dtype=np.complex128)
+    sums = [np.zeros((t_hi + 1, t_hi + 1), dtype=np.complex128)]
     for start in range(0, len(x), _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        for rows, s_sum in zip(_cofactor_blocks(
-                common[chunk], x[chunk], y[chunk], t_lo, t_hi, work), sums):
-            rows_c = np.conjugate(rows, out=conj[:rows.size].reshape(
-                rows.shape))
-            s_sum += rows @ rows_c.T
+        for rows in _cofactor_blocks(common[chunk], x[chunk], y[chunk],
+                                     t_hi, t_hi, work):
+            sums[0] += rows @ rows.conj().T
+    for _ in cofactor_degrees[1:]:
+        sums.insert(0, sums[0][:-1, :-1] + sums[0][1:, 1:])
 
     s_hom = 2 * m * arr.total_mass
     spans, grams = [], []
@@ -553,7 +554,7 @@ class RaySlopes:
 def _slopes(log_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Least-squares slope of each row of `rows` against `log_t`."""
     dt = log_t - log_t.mean()
-    return rows @ dt / (dt @ dt)
+    return (rows - rows.mean(axis=-1, keepdims=True)) @ dt / (dt @ dt)
 
 
 def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,

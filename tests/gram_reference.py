@@ -1,6 +1,6 @@
 """Monte Carlo reference estimator of the full Gram sphere moments,
-cross-degree pairs included, and the reference kernel evaluated directly
-at z.
+cross-degree pairs included, the reference kernel evaluated directly at
+z, and the Gram blocks each summed over the Hopf rule nodes.
 
 `gram_matrix` integrates only the same-degree blocks, with a deterministic
 rule on CP^1: the weight is invariant under z -> e^{i theta} z, so entries
@@ -12,10 +12,14 @@ must sit within sampling noise of 0 and same-degree ones within sampling
 noise of `gram_matrix`.  `direct_kernel` likewise checks the log-space
 kernel of `kernel_values` against the plain sum over the basis values.
 Direct evaluation overflows for large m; use these at small m only.
+`per_block_grams` sums every degree block over the nodes on its own, as
+one row product per block and node chunk, where `gram_matrix` sums only
+the top block and derives the others from |x|^2 + |y|^2 = 1.
 """
 
 import numpy as np
 
+from pshlab import bergman
 from pshlab.bergman import SPHERE_AREA, radial_factor, sphere_points
 
 CHUNK = 1 << 14
@@ -89,3 +93,29 @@ def max_cross_degree_z(arr, result):
     cross = result.degrees[:, None] != result.degrees[None, :]
     z = np.abs(mean[cross]) / np.maximum(stderr[cross], 1e-300)
     return float(z.max()) if z.size else 0.0
+
+
+def per_block_grams(arr, result):
+    """The same-degree Gram blocks of `result`, each block summed over the
+    nodes of its Hopf rule as rows @ conj(rows)^T, then scaled and
+    symmetrized as `gram_matrix` does."""
+    m, base = result.m, sum(result.line_powers)
+    exponents = tuple(float(b - m * a)
+                      for b, a in zip(result.line_powers, arr.coeffs))
+    x, y, common = bergman._hopf_nodes(
+        arr, exponents, bergman.HOPF_JACOBI, bergman.HOPF_LEGENDRE,
+        bergman.HOPF_ANGLES)
+    degrees = [block.degree - base for block in result.blocks]
+    sums = [np.zeros((t + 1, t + 1), dtype=np.complex128) for t in degrees]
+    for start in range(0, len(x), bergman._CHUNK):
+        chunk = slice(start, start + bergman._CHUNK)
+        for rows, s_sum in zip(bergman._cofactor_blocks(
+                common[chunk], x[chunk], y[chunk], degrees[0], degrees[-1]),
+                sums):
+            s_sum += rows @ np.conjugate(rows).T
+    s_hom = 2 * m * arr.total_mass
+    grams = []
+    for block, s_sum in zip(result.blocks, sums):
+        gram = s_sum * (SPHERE_AREA * radial_factor(2 * block.degree, s_hom))
+        grams.append((gram + gram.conj().T) / 2.0)
+    return grams

@@ -30,6 +30,7 @@ from gram_reference import (
     full_gram,
     full_sphere_moments,
     max_cross_degree_z,
+    per_block_grams,
 )
 
 THEOREM1 = preset("theorem1")
@@ -291,7 +292,8 @@ HUGE_LINE = new_arrangement([(1, 0), (1, 10 ** 300)],
 def test_kernel_chunks_match_one_pass(arr, monkeypatch):
     # the slopes and a scan, with the kernel taken one ray or 10 points at
     # a time, equal those of one pass over all points (8 rays x 25 radii),
-    # and the slopes equal those of phi_hat on the points r u, to 4 ulp
+    # and the rows of phi_hat behind the slopes equal phi_hat on the points
+    # r u, to 4 ulp
     quad = QuadratureSpec(12, 10_000, 42)
     grams = {m: gram_matrix(arr, m, quad) for m in (1, 2)}
     t = np.geomspace(1e-3, 1e-1, 25)
@@ -304,11 +306,17 @@ def test_kernel_chunks_match_one_pass(arr, monkeypatch):
         return est.per_ray, scan.phi1, scan.phi2
 
     one_pass = report()
-    # the point path at r u, fitted alike: homogeneity reads each ray's
-    # block kernels once, the point path once per radius
-    per_ray = bergman._slopes(np.log(r), np.array([
-        bergman._phi_on_points(grams[1], r * u[0], r * u[1])
-        for u in generic_rays(arr, 8, quad.seed)]))
+    # the rows of phi_hat behind the slopes (8 rays x 25 radii), and phi_hat
+    # on the points r u: homogeneity reads each ray's block kernels once,
+    # the point path once per radius.  The slopes are one fixed linear map
+    # of the rows, so the paths are compared on the rows: a slope near 0
+    # cancels values near |phi_hat| and magnifies their ulp
+    u = np.array(generic_rays(arr, 8, quad.seed))
+    rows = bergman._log_kernel_chunk(grams[1], u[:, 0], u[:, 1],
+                                     np.log(r)[None, :]) / 2.0
+    points = np.array([bergman._phi_on_points(grams[1], r * v[0], r * v[1])
+                       for v in u])
+    assert one_pass[0] == bergman._slopes(np.log(r), rows).tolist()
     widths = []
     real_blocks = bergman._cofactor_blocks
 
@@ -321,11 +329,35 @@ def test_kernel_chunks_match_one_pass(arr, monkeypatch):
     monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
     chunked = report()
     assert max(widths) == 10 and min(widths) < 10
-    np.testing.assert_array_max_ulp(np.array(one_pass[0]),
-                                    np.array(per_ray), maxulp=4)
+    np.testing.assert_array_max_ulp(rows, points, maxulp=4)
     for whole, parts in zip(one_pass, chunked):
         np.testing.assert_array_max_ulp(np.array(whole), np.array(parts),
                                         maxulp=4)
+
+
+def _exact_slope(log_t, row):
+    """Least-squares slope of the floats `row` against `log_t`, taken
+    exactly in Fractions and rounded once."""
+    t, p = [Fraction(v) for v in log_t], [Fraction(v) for v in row]
+    t_mean, p_mean = sum(t) / len(t), sum(p) / len(p)
+    return float(sum((a - t_mean) * (b - p_mean) for a, b in zip(t, p))
+                 / sum((a - t_mean) ** 2 for a in t))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_slopes_match_the_exact_fit_of_large_phi(m):
+    # on x, x + 10^300 y phi_hat is about 516: uncentred rows lose the
+    # slope's last digits to rows @ dt (8.8e-14 off the exact fit at m = 1)
+    quad = QuadratureSpec(12, 10_000, 42)
+    gram = gram_matrix(HUGE_LINE, m, quad)
+    log_r = np.log(np.geomspace(*bergman.SLOPE_WINDOW))
+    u = np.array(generic_rays(HUGE_LINE, 8, quad.seed))
+    rows = bergman._log_kernel_chunk(gram, u[:, 0], u[:, 1],
+                                     log_r[None, :]) / (2.0 * m)
+    assert np.abs(rows).min() > 500
+    est = lelong_estimate(HUGE_LINE, m, quad, gram=gram)
+    exact = [_exact_slope(log_r, row) for row in rows]
+    assert np.abs(np.array(est.per_ray) - exact).max() <= 1e-15
 
 
 def test_ray_slopes_read_each_direction_once(monkeypatch):
@@ -493,6 +525,41 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
     # so the cached rule must have been rebuilt for the new counts
     assert finer.nodes == 4 * result.nodes
     assert _max_relative(result.gram, finer.gram) < 1e-6
+
+
+@pytest.mark.parametrize("arr, m, degree", [
+    *((THEOREM1, m, 12) for m in (1, 2, 3, 4, 5)), (THEOREM1, 8, 20),
+    (ZERO_WEIGHT, 1, 47), (THEOREM1, 1, 47), (CLOSE_LINES, 1, 47),
+    *((new_arrangement(lines, [Fraction(1, 2), 1 - Fraction(1, 10 ** k)]),
+       1, 12) for lines in ([(1, 0), (0, 1)], [(1, 0), (1, 3)])
+      for k in (2, 6, 9)),
+    (HUGE_LINE, 1, 12), (ZERO_WEIGHT, 1, 12),
+], ids=[*(f"theorem1-m{m}" for m in (1, 2, 3, 4, 5, 8)), "trivial-top",
+        "theorem1-m1-top", "close-m1-top",
+        *(f"{pair}-k{k}" for pair in ("toric", "x-x3y") for k in (2, 6, 9)),
+        "huge-line", "trivial"])
+def test_gram_blocks_match_per_block_sums(arr, m, degree, monkeypatch):
+    # gram_matrix sums only the top block over the nodes, one row product
+    # per node chunk, and takes each lower block from the one above by
+    # |x|^2 + |y|^2 = 1: every block matches the blocks summed one by one
+    # over the nodes to 1e-13 of sqrt(G_ii G_jj), also after 47 steps down
+    products = []
+    real_blocks = bergman._cofactor_blocks
+
+    def recorded(*args):
+        products.append(0)
+        for rows in real_blocks(*args):
+            products[-1] += 1
+            yield rows
+
+    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    result = gram_matrix(arr, m, QuadratureSpec(degree, 10_000, 1))
+    assert products == [1] * math.ceil(result.nodes / bergman._CHUNK)
+    monkeypatch.undo()
+    reference = per_block_grams(arr, result)
+    assert len(reference) == len(result.blocks) > 1
+    for block, gram in zip(result.blocks, reference):
+        assert _max_relative(gram, block.gram) <= 1e-13
 
 
 def test_node_set_shared_across_m():

@@ -30,16 +30,20 @@ and exit codes are compared byte for byte:
   memberships, oracle margins and the monotonicity tables through the
   polynomial layer, ``demos/03`` the kernel cross-check (93 cases in all).
 
-Prints one line per case and a diff excerpt for each difference; exits 1
-if any case differs, 0 otherwise.  Takes a minute or two: the ``bergman``
-cases load numpy.
+Prints one line per case.  For each difference it also prints how many of
+the numbers in the two outputs differ, paired in order of appearance, with
+the largest absolute and relative difference between paired numbers, and
+a diff excerpt.  Exits 1 if any case differs, 0 otherwise.  Takes a minute
+or two: the ``bergman`` cases load numpy.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -85,6 +89,35 @@ BIG_WEIGHTS = {
 # x + 2^1998 y with weight 99/100: log_scale -2742 at m = 1, beyond the
 # float range of the dense Gram views (audited only, at m = 1)
 EXTREME_SCALE = {**HUGE_FILES["HUGE_NORM"], "coeffs": ["1/2", "99/100"]}
+
+
+# a decimal or float literal, or a non-finite float as json or Python
+# prints it
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|-?\b(?:Infinity|inf)\b|\b(?:NaN|nan)\b")
+
+
+def _gap(a: str, b: str) -> tuple[float, float]:
+    """Absolute and relative difference of two printed numbers, infinite
+    when either is no finite float (NaN, inf or an integer beyond 10^308)."""
+    x, y = float(a), float(b)
+    if not math.isfinite(x - y):
+        return math.inf, math.inf
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y), sys.float_info.min)
+
+
+def numeric_report(before: bytes, after: bytes) -> str:
+    """How many numbers are printed differently in two outputs, and their
+    largest absolute and relative difference, pairing the numbers in order;
+    outputs whose text around the numbers differs do not pair."""
+    texts = [out.decode(errors="replace") for out in (before, after)]
+    old, new = (NUMBER.findall(text) for text in texts)
+    if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
+        return f"numbers: {len(old)} -> {len(new)}, text differs, not paired"
+    gaps = [_gap(a, b) for a, b in zip(old, new) if a != b]
+    return (f"numbers: {len(gaps)} of {len(new)} differ, max abs "
+            f"{max((g[0] for g in gaps), default=0.0):.2g}, max rel "
+            f"{max((g[1] for g in gaps), default=0.0):.2g}")
 
 
 def cases(arrangement_file: str, huge_files: list[str],
@@ -168,6 +201,7 @@ def main(argv: list[str]) -> int:
                 continue
             differences += 1
             print(f"DIFF  exit {before[0]} -> {after[0]}  {label}")
+            print(f"      {numeric_report(before[1], after[1])}")
             diff = difflib.unified_diff(
                 before[1].decode(errors="replace").splitlines(),
                 after[1].decode(errors="replace").splitlines(),
