@@ -16,12 +16,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .gaussian import GaussianRational, ONE, to_fraction, unit_complex
 from .polynomials import Gaussian, HomogeneousForm
+from .records import Frozen
 
 
 class ArrangementError(ValueError):
@@ -44,12 +44,14 @@ class ZeroWeightError(ArrangementError):
     """The total mass vanishes where a positive weight is required."""
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Frozen):
     """A line cx*x + cy*y = 0 through the origin, projectively normalized."""
 
-    cx: GaussianRational
-    cy: GaussianRational
+    _fields = ("cx", "cy")
+
+    def __init__(self, cx: GaussianRational, cy: GaussianRational):
+        object.__setattr__(self, "cx", cx)
+        object.__setattr__(self, "cy", cy)
 
     @classmethod
     def normalized(cls, cx, cy) -> "Line":
@@ -99,21 +101,24 @@ class Line:
         return [self.cx.serialize(), self.cy.serialize()]
 
 
-@dataclass(frozen=True)
-class WeightedArrangement:
+class WeightedArrangement(Frozen):
     """Distinct lines with rational weights plus an optional point mass."""
 
-    lines: tuple[Line, ...]
-    coeffs: tuple[Fraction, ...]
-    point_mass: Fraction
-    total_mass: Fraction
+    _fields = ("lines", "coeffs", "point_mass", "total_mass")
+
+    def __init__(self, lines: tuple[Line, ...], coeffs: tuple[Fraction, ...],
+                 point_mass: Fraction, total_mass: Fraction):
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "point_mass", point_mass)
+        object.__setattr__(self, "total_mass", total_mass)
 
     def __hash__(self) -> int:  # every arrangement-keyed cache asks for it
         return self._hash
 
     @functools.cached_property
-    def _hash(self) -> int:  # the dataclass field-tuple hash, computed once
-        return hash((self.lines, self.coeffs, self.point_mass, self.total_mass))
+    def _hash(self) -> int:  # the field-tuple hash, computed once
+        return hash(self._values(self))
 
     @property
     def key(self) -> tuple[Line, ...]:
@@ -175,8 +180,7 @@ def new_arrangement(lines, coeffs, point_mass=0) -> WeightedArrangement:
 HOPF_MIN_S1 = 2.0 ** -64
 
 
-@dataclass(frozen=True)
-class HopfChart:
+class HopfChart(Frozen):
     """The polar chart q = sqrt(1-s) p + sqrt(s) e^{i theta} n of CP^1
     around a line point p (unit normal n), where |ell(q)| = |ell| sqrt(s).
     `spacing` is the squared chordal distance to the nearest other line
@@ -188,13 +192,16 @@ class HopfChart:
     `chart_x`, `chart_y`: the coordinates of alpha v + beta n, for v, n
     the unnormalized p, n, as exact linear forms in (alpha, beta)."""
 
-    point: tuple[complex, complex]
-    normal: tuple[complex, complex]
-    spacing: Fraction
-    s1: float
-    pairs: tuple[tuple[complex, complex], ...]
-    chart_x: HomogeneousForm
-    chart_y: HomogeneousForm
+    __slots__ = _fields = ("point", "normal", "spacing", "s1", "pairs",
+                           "chart_x", "chart_y")
+
+    def __init__(self, point: tuple[complex, complex],
+                 normal: tuple[complex, complex], spacing: Fraction,
+                 s1: float, pairs: tuple[tuple[complex, complex], ...],
+                 chart_x: HomogeneousForm, chart_y: HomogeneousForm):
+        for name, value in zip(self._fields, (point, normal, spacing, s1,
+                                              pairs, chart_x, chart_y)):
+            object.__setattr__(self, name, value)
 
     def moduli(self, alpha, beta) -> list:
         """|ell_i(alpha p + beta n)| / |ell_i| of every line i, at scalars or

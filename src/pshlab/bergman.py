@@ -25,15 +25,15 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arrangement import HopfChart, WeightedArrangement, hopf_charts
 from .multiplier_ideal import expand, ideal_of
 from .polynomials import BivariatePolynomial
+from .records import Frozen, Record
 from .singularity import generic_rays
 
 MIN_SPHERE_SAMPLES = 10_000
@@ -71,8 +71,7 @@ class DegreeCutoffError(ValueError):
     reaches a degree (2^53) that floats no longer hold exactly."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Frozen):
     """Parameters of a Gram and of the estimates built on it.
 
     `max_degree` is the basis' total-degree cutoff; the Gram is otherwise
@@ -83,20 +82,21 @@ class QuadratureSpec:
     log R (T the total mass), so no other radius is needed.
     """
 
-    max_degree: int
-    sphere_samples: int
-    seed: int
+    __slots__ = _fields = ("max_degree", "sphere_samples", "seed")
 
-    def __post_init__(self):
-        if self.max_degree < 0:
+    def __init__(self, max_degree: int, sphere_samples: int, seed: int):
+        if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        if self.sphere_samples < MIN_SPHERE_SAMPLES:
+        if sphere_samples < MIN_SPHERE_SAMPLES:
             raise ValueError(
                 f"sphere_samples must be >= {MIN_SPHERE_SAMPLES}"
             )
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "sphere_samples", sphere_samples)
+        object.__setattr__(self, "seed", seed)
 
     def with_max_degree(self, n: int) -> "QuadratureSpec":
-        return replace(self, max_degree=n)
+        return QuadratureSpec(n, self.sphere_samples, self.seed)
 
 
 def _basis_layout(arr: WeightedArrangement, m: int, max_degree: int
@@ -247,8 +247,7 @@ def _dense_factor(log_scale: float, power: float) -> float:
     return math.exp(power * log_scale)
 
 
-@dataclass(frozen=True)
-class GramBlock:
+class GramBlock(NamedTuple):
     """The basis elements of one total degree: their positions in the basis
     order, their Gram block and the orthonormalizing transform."""
 
@@ -258,8 +257,7 @@ class GramBlock:
     transform: np.ndarray  # block size x block rank
 
 
-@dataclass
-class GramResult:
+class GramResult(Record):
     """Gram data of the admissible basis for one (arr, m).
 
     Entries between different total degrees vanish exactly (the weight is
@@ -273,17 +271,19 @@ class GramResult:
     rule nodes used.
     """
 
-    m: int
-    spec: QuadratureSpec
-    line_powers: tuple[int, ...]
-    monomials: list[tuple[int, int]]
-    degrees: np.ndarray
-    blocks: list[GramBlock]
-    effective_rank: int
-    degenerate: bool
-    nodes: int
-    log_scale: float
-    _arr: WeightedArrangement
+    _fields = ("m", "spec", "line_powers", "monomials", "degrees", "blocks",
+               "effective_rank", "degenerate", "nodes", "log_scale", "_arr")
+
+    def __init__(self, m: int, spec: QuadratureSpec,
+                 line_powers: tuple[int, ...],
+                 monomials: list[tuple[int, int]], degrees: np.ndarray,
+                 blocks: list[GramBlock], effective_rank: int,
+                 degenerate: bool, nodes: int, log_scale: float,
+                 _arr: WeightedArrangement):
+        self.m, self.spec, self.line_powers = m, spec, line_powers
+        self.monomials, self.degrees, self.blocks = monomials, degrees, blocks
+        self.effective_rank, self.degenerate = effective_rank, degenerate
+        self.nodes, self.log_scale, self._arr = nodes, log_scale, _arr
 
     @property
     def basis_size(self) -> int:
@@ -533,13 +533,13 @@ def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
     return float(_phi_on_points(result, *point))
 
 
-@dataclass
-class RaySlopes:
+class RaySlopes(Record):
     """Ray slopes of phi_hat, with the Gram they were read from."""
 
-    gram: GramResult
-    value: float
-    per_ray: list[float]
+    __slots__ = _fields = ("gram", "value", "per_ray")
+
+    def __init__(self, gram: GramResult, value: float, per_ray: list[float]):
+        self.gram, self.value, self.per_ray = gram, value, per_ray
 
     def to_dict(self) -> dict:
         return {
@@ -576,16 +576,16 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
     return RaySlopes(result, float(np.mean(slopes)), slopes.tolist())
 
 
-@dataclass
-class CurveScan:
+class CurveScan(Record):
     """Delta = phi_hat_{m2} - phi_hat_{m1} along a curve, with the Grams
     of phi_hat_{m1} and phi_hat_{m2}."""
 
-    grams: tuple[GramResult, GramResult]
-    t: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    slope: float
+    __slots__ = _fields = ("grams", "t", "phi1", "phi2", "slope")
+
+    def __init__(self, grams: tuple[GramResult, GramResult], t: np.ndarray,
+                 phi1: np.ndarray, phi2: np.ndarray, slope: float):
+        self.grams, self.t, self.phi1, self.phi2 = grams, t, phi1, phi2
+        self.slope = slope
 
     @property
     def delta(self) -> np.ndarray:

@@ -7,12 +7,10 @@ Exit codes: 0 all requested checks pass, 1 a mathematical claim failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -179,20 +177,36 @@ def _resolve_arrangement(args) -> WeightedArrangement:
     return preset(getattr(args, "preset", None) or "theorem1")
 
 
+_NON_FINITE = "the report holds a non-finite number (NaN or infinity)"
+
+
 def _emit(args, to_json: Callable[[], dict],
           to_csv: Callable[[], list[list]] | None = None,
-          to_markdown: Callable[[], str] | None = None) -> None:
+          to_markdown: Callable[[], str] | None = None,
+          floats: Iterable[float] = ()) -> None:
     """Render the report in the requested format only: each renderer is
-    called at most once, and only the one `--format` names."""
+    called at most once, and only the one `--format` names.  A report
+    whose `floats` hold a NaN or an infinity is refused in every format,
+    and so is a JSON payload holding one: nothing is written."""
+    if not all(map(math.isfinite, floats)):
+        raise UsageError(_NON_FINITE)
     if args.format == "json":
         payload = to_json()
         if not args.no_timestamp:
+            from datetime import datetime, timezone
+
             payload = dict(payload)
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise UsageError(_NON_FINITE) from exc
     elif args.format == "csv":
         if to_csv is None:
             raise UsageError(f"command {args.command} has no CSV form")
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(to_csv())
@@ -505,7 +519,7 @@ def _bergman_scan(args, arr: WeightedArrangement, quad) -> int:
     _emit(args, to_json, to_csv, lambda: (
         f"Delta = phi_{args.m2} - phi_{args.m1} along {curve_name}: "
         f"slope {scan.slope:+.4f} vs log t -> {verdict}"
-    ))
+    ), floats=(scan.slope, *scan.t, *scan.phi1, *scan.phi2))
     return 0
 
 
@@ -543,7 +557,7 @@ def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
     _emit(args, to_json, to_csv, lambda: (
         f"lelong(phi_{args.m}) ~ {est.value:.4f} over {args.rays} rays "
         f"(symbolic {symbolic})"
-    ))
+    ), floats=(est.value, *est.per_ray))
     return 0
 
 

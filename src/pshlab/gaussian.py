@@ -8,8 +8,9 @@ multiplicity counts free of floating error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Frozen
 
 
 def scaled_complex(values) -> list[complex]:
@@ -42,12 +43,14 @@ def integer_ratio(c) -> tuple[int, int]:
     return (c, 1) if isinstance(c, int) else to_fraction(c).as_integer_ratio()
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """An element of Q(i), stored as exact real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = _fields = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @classmethod
     def of(cls, value) -> "GaussianRational":

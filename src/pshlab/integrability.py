@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ MIN_RESOLUTION = 1e-7
 MAX_SPREAD = 1e-4
 
 
-@dataclass(frozen=True)
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(NamedTuple):
     integrable: bool
     radial_margin: Fraction          # min over components of d + 2 - c*T
     line_margins: tuple[float, ...]  # per line, min over components of kappa

@@ -10,7 +10,7 @@ of the maximal ideal, which is the normal form stored here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import WeightedArrangement
 from .gaussian import integer_ratio
@@ -27,8 +27,7 @@ class ExpansionTooLargeError(ValueError):
     """Generators of degree above MAX_GENERATOR_DEGREE were requested."""
 
 
-@dataclass(frozen=True, slots=True)
-class IdealDescriptor:
+class IdealDescriptor(NamedTuple):
     """Normal form of a multiplier ideal: prod ell_i^{b_i} * m^p.
 
     `e` is the required vanishing order at the origin, kept for reporting;

@@ -13,11 +13,11 @@ rationals are built only when its terms are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gaussian import GaussianRational, ONE
+from .records import Frozen
 
 Term = tuple[int, int]
 Gaussian = tuple[int, int]  # a Gaussian integer re + im*i
@@ -235,8 +235,7 @@ def _divide_primitive(coeffs: list[Gaussian], alpha: Gaussian,
     return out
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
+class HomogeneousForm(Frozen):
     """sum_j coeffs[j] * x^(degree-j) * y^j / den, a homogeneous form over
     Q(i) with Gaussian-integer numerators (re, im) and an integer den > 0.
 
@@ -244,9 +243,13 @@ class HomogeneousForm:
     keep gcd(numerators, den) = 1; in that form equal forms compare equal.
     """
 
-    degree: int
-    coeffs: tuple[Gaussian, ...]
-    den: int = 1
+    __slots__ = _fields = ("degree", "coeffs", "den")
+
+    def __init__(self, degree: int, coeffs: tuple[Gaussian, ...],
+                 den: int = 1):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _reduced(cls, degree: int, coeffs: Iterable[Gaussian], den: int

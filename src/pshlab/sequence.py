@@ -9,14 +9,15 @@ decrease across that step: classes already quotient the constants out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .arrangement import WeightedArrangement, preset
 from .multiplier_ideal import (IdealDescriptor, floor_data, generator_strings,
                                generators, ideal_of)
 from .polynomials import BivariatePolynomial
+from .records import Record
 from .singularity import (
     ComparisonResult,
     Relation,
@@ -34,8 +35,7 @@ from .singularity import (
 PATTERN_K_MAX, POW2_K_MAX, LINEAR_K_MAX, CLAIM_M_MAX = 100, 10, 50, 100
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     m: int
     ideal: IdealDescriptor
     cls: SingularityClass
@@ -95,8 +95,7 @@ def adjacent_violations(arr: WeightedArrangement, m_max: int
     return monotonicity_report(arr, m_max).violations
 
 
-@dataclass(frozen=True)
-class PatternCheck:
+class PatternCheck(NamedTuple):
     """Outcome of the (3k, 3k+2) comparison for one k."""
 
     k: int
@@ -154,8 +153,7 @@ def deviation_within_bounds(arr: WeightedArrangement, ent: SequenceEntry) -> boo
         m * abs(delta * den - mass * d) <= max(2, len(arr.lines) - 1) * scale
 
 
-@dataclass(frozen=True)
-class SubsequenceVerdict:
+class SubsequenceVerdict(NamedTuple):
     indices: tuple[int, ...]
     decreasing: bool
     strictly: bool
@@ -198,13 +196,20 @@ def check_subsequence(arr: WeightedArrangement, indices: Iterable[int]
 # -- full report ----------------------------------------------------------
 
 
-@dataclass
-class MonotonicityReport:
-    arrangement: WeightedArrangement
-    entries: list[SequenceEntry]
-    comparisons: list[ComparisonResult]  # entry m+1 vs entry m
-    violations: list[tuple[int, int]]
-    subsequence: SubsequenceVerdict | None = None
+class MonotonicityReport(Record):
+    __slots__ = _fields = ("arrangement", "entries", "comparisons",
+                           "violations", "subsequence")
+
+    def __init__(self, arrangement: WeightedArrangement,
+                 entries: list[SequenceEntry],
+                 comparisons: list[ComparisonResult],  # entry m+1 vs entry m
+                 violations: list[tuple[int, int]],
+                 subsequence: SubsequenceVerdict | None = None):
+        self.arrangement = arrangement
+        self.entries = entries
+        self.comparisons = comparisons
+        self.violations = violations
+        self.subsequence = subsequence
 
     def to_dict(self) -> dict:
         return {
@@ -234,25 +239,26 @@ def monotonicity_report(arr: WeightedArrangement, m_max: int,
 # -- claim registry --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     description: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})  # read-only when defaulted
 
     def to_dict(self) -> dict:
         return {
             "id": self.claim_id,
             "description": self.description,
             "passed": self.passed,
-            "details": self.details,
+            "details": dict(self.details),
         }
 
 
-@dataclass
-class VerificationReport:
-    results: list[ClaimResult]
+class VerificationReport(Record):
+    __slots__ = _fields = ("results",)
+
+    def __init__(self, results: list[ClaimResult]):
+        self.results = results
 
     @property
     def all_passed(self) -> bool:

@@ -21,13 +21,14 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arrangement import Line, WeightedArrangement, hopf_charts
 from .gaussian import integer_ratio, to_fraction
 from .multiplier_ideal import IdealDescriptor
+from .records import Frozen
 
 
 def ratio_str(n: int, d: int) -> str:
@@ -47,8 +48,7 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """The inequality that defeats a directed comparison.
 
     `first` and `second` are the exponents of the compared classes in the
@@ -74,8 +74,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class SingularityClass:
+class SingularityClass(Frozen):
     """Exponent data (gamma; delta) of a representative weight.
 
     Stored as integer numerators `num` (the gamma_i, then delta) over one
@@ -84,6 +83,7 @@ class SingularityClass:
     `delta` and `total` are Fractions built on access.
     """
 
+    __slots__ = _fields = ("key", "num", "den")
     key: tuple[Line, ...]
     num: tuple[int, ...]
     den: int
@@ -125,13 +125,17 @@ class SingularityClass:
         return {"gamma": gamma, "delta": delta}
 
 
-@dataclass(frozen=True, eq=False)
-class ComparisonResult:
+class ComparisonResult(Frozen):
     """The relation of s1 to s2, the compared `pair`; `witnesses` are built
-    on first access.  Equality and hash are those of (relation, witnesses)."""
+    on first access.  Equality and hash are those of (relation, witnesses),
+    and the repr shows the relation."""
 
-    relation: Relation
-    pair: tuple[SingularityClass, SingularityClass] = field(repr=False)
+    _fields = ("relation", "pair")
+
+    def __init__(self, relation: Relation,
+                 pair: tuple[SingularityClass, SingularityClass]):
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "pair", pair)
 
     @functools.cached_property
     def witnesses(self) -> tuple[Witness, ...]:
@@ -145,6 +149,9 @@ class ComparisonResult:
 
     def __hash__(self) -> int:
         return hash((self.relation, self.witnesses))
+
+    def __repr__(self) -> str:
+        return f"ComparisonResult(relation={self.relation!r})"
 
     def to_dict(self) -> dict:
         return {

@@ -395,6 +395,55 @@ def test_bergman_refuses_flags_before_any_estimate(flags, reason, monkeypatch,
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+@pytest.mark.parametrize("mode", ["rays", "scan"])
+def test_non_finite_report_is_refused(mode, fmt, monkeypatch, capsys,
+                                      tmp_path):
+    # a NaN the per-value checks do not read (the ray mean, a scan's t)
+    # used to print as NaN, which is not JSON, or as nan under exit 0
+    from types import SimpleNamespace
+
+    from pshlab import bergman
+
+    gram = SimpleNamespace(m=1, nodes=0, spec=SimpleNamespace(max_degree=12))
+
+    def nan_rays(*args, **kwargs):
+        return bergman.RaySlopes(gram, math.nan, [1.0, 1.0])
+
+    def nan_scan(arr, m1, m2, curve, t, quad, **kwargs):
+        return bergman.CurveScan((gram, gram), t * math.nan, t * 0.0,
+                                 t * 0.0, -1.0)
+
+    monkeypatch.setattr(bergman, "lelong_estimate", nan_rays)
+    monkeypatch.setattr(bergman, "curve_scan", nan_scan)
+    flags = ["--m", "1"] if mode == "rays" else ["--m1", "1", "--m2", "2"]
+    target = tmp_path / "report.out"
+    for output in ([], ["--output", str(target)]):
+        rc = main(["bergman", "--preset", "theorem1", *flags, "--format",
+                   fmt, *output])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and not target.exists()
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.splitlines()) == 1
+
+
+def test_non_finite_json_payload_is_refused(monkeypatch, capsys):
+    # a float outside the checked values, here in the audited Gram, is
+    # caught by the JSON encoder, which no longer writes NaN
+    from types import SimpleNamespace
+
+    from pshlab import bergman
+
+    gram = SimpleNamespace(m=1, nodes=0, spec=SimpleNamespace(max_degree=12),
+                           to_dict=lambda: {"gram_re": [[math.inf]]})
+    monkeypatch.setattr(bergman, "lelong_estimate", lambda *args, **kwargs:
+                        bergman.RaySlopes(gram, 1.0, [1.0]))
+    rc = main(["bergman", "--preset", "theorem1", "--m", "1",
+               "--audit-gram"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "non-finite" in err
+
+
 def test_bergman_subnormal_t_is_one_error_line():
     # subnormal t used to send numpy RuntimeWarnings to stderr before the
     # error line; the range is now refused before any numpy work

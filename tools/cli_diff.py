@@ -32,9 +32,11 @@ and exit codes are compared byte for byte:
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
-the largest absolute and relative difference between paired numbers, and
-a diff excerpt.  Exits 1 if any case differs, 0 otherwise.  Takes a minute
-or two: the ``bergman`` cases load numpy.
+the largest absolute and relative difference between paired numbers, the
+largest absolute difference divided by the largest finite magnitude among
+the case's paired float literals (or numbers, without floats), and a diff
+excerpt.  Exits 1 if any case differs, 0 otherwise.  Takes a minute or
+two: the ``bergman`` cases load numpy.
 """
 
 from __future__ import annotations
@@ -107,17 +109,27 @@ def _gap(a: str, b: str) -> tuple[float, float]:
 
 
 def numeric_report(before: bytes, after: bytes) -> str:
-    """How many numbers are printed differently in two outputs, and their
-    largest absolute and relative difference, pairing the numbers in order;
+    """How many numbers are printed differently in two outputs, their
+    largest absolute and relative difference, and the largest absolute
+    difference over the case's scale, pairing the numbers in order;
     outputs whose text around the numbers differs do not pair."""
     texts = [out.decode(errors="replace") for out in (before, after)]
     old, new = (NUMBER.findall(text) for text in texts)
     if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
         return f"numbers: {len(old)} -> {len(new)}, text differs, not paired"
     gaps = [_gap(a, b) for a, b in zip(old, new) if a != b]
+    top = max((g[0] for g in gaps), default=0.0)
+    # the scale of the case: a difference next to entries that are zero up
+    # to rounding reads near 1 relative to them, but not against this.
+    # Integers (counts, seeds, exact coefficients such as 10^300) never
+    # move by rounding, so float literals set the scale when there are any.
+    finite = [(a, abs(v)) for a in old + new if math.isfinite(v := float(a))]
+    floats = [v for a, v in finite if any(c in a for c in ".eE")]
+    scale = max(floats or [v for _, v in finite], default=0.0)
     return (f"numbers: {len(gaps)} of {len(new)} differ, max abs "
-            f"{max((g[0] for g in gaps), default=0.0):.2g}, max rel "
-            f"{max((g[1] for g in gaps), default=0.0):.2g}")
+            f"{top:.2g}, max rel "
+            f"{max((g[1] for g in gaps), default=0.0):.2g}, max abs / "
+            f"largest |number| {top / max(scale, sys.float_info.min):.2g}")
 
 
 def cases(arrangement_file: str, huge_files: list[str],
