@@ -45,7 +45,8 @@ SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 # exp(t) is a finite normal float for t in this range
 _EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
-# columns of one block product: Gram nodes, or kernel points, per chunk
+# columns of one block product per chunk: Gram nodes, or kernel points,
+# a ray counting once per radius
 _CHUNK = 1 << 13
 # Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
 # Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
@@ -62,7 +63,7 @@ class NonIntegrableExponentError(ArithmeticError):
 
 
 class DenseScaleError(ArithmeticError):
-    """exp(log_scale) or exp(-log_scale/2) is no finite normal float."""
+    """exp(log_scale), the dense Gram's scale, is no finite normal float."""
 
 
 class DegreeCutoffError(ValueError):
@@ -239,14 +240,6 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
     return rule
 
 
-def _dense_factor(log_scale: float, power: float) -> float:
-    """exp(power * log_scale), refused unless it is a finite normal float."""
-    if not _EXP_RANGE[0] <= power * log_scale <= _EXP_RANGE[1]:
-        raise DenseScaleError(f"log_scale = {log_scale:.6g} puts the dense "
-                              "Gram views outside the normal float range")
-    return math.exp(power * log_scale)
-
-
 class GramBlock(NamedTuple):
     """The basis elements of one total degree: their positions in the basis
     order, their Gram block and the orthonormalizing transform."""
@@ -265,10 +258,10 @@ class GramResult(Record):
     computed and stored.  The blocks, their transforms and the kernel take
     the lines as unit forms ell_i / |ell_i|; the arrangement's own
     normalization multiplies every Gram entry by exp(log_scale), with
-    log_scale = 2 sum_i e_i log|ell_i|.  The dense k x k `gram` and
-    `transform`, in that normalization and with exact zeros across
-    degrees, are assembled from the blocks.  `nodes` is the number of Hopf
-    rule nodes used.
+    log_scale = 2 sum_i e_i log|ell_i|.  The dense k x k `gram`, in that
+    normalization and with exact zeros across degrees, is assembled from
+    the blocks for the audit.  `nodes` is the number of Hopf rule nodes
+    used.
     """
 
     _fields = ("m", "spec", "line_powers", "monomials", "degrees", "blocks",
@@ -291,30 +284,21 @@ class GramResult(Record):
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
+        if not _EXP_RANGE[0] <= self.log_scale <= _EXP_RANGE[1]:
+            raise DenseScaleError(f"log_scale = {self.log_scale:.6g} puts "
+                                  "the dense Gram views outside the normal "
+                                  "float range")
         out = np.zeros((self.basis_size, self.basis_size),
                        dtype=np.complex128)
         for block in self.blocks:
             out[block.span, block.span] = block.gram
-        return out * _dense_factor(self.log_scale, 1.0)
+        return out * math.exp(self.log_scale)
 
     @property
     def stderr(self) -> np.ndarray:
         """Standard errors of the Gram entries: all 0, since the rule is
         deterministic (its convergence is checked by the test suite)."""
         return np.zeros((self.basis_size, self.basis_size))
-
-    @property
-    def transform(self) -> np.ndarray:
-        """Orthonormalizing transform of the whole basis (k x rank),
-        block diagonal in the degree blocks."""
-        out = np.zeros((self.basis_size, self.effective_rank),
-                       dtype=np.complex128)
-        col = 0
-        for block in self.blocks:
-            width = block.transform.shape[1]
-            out[block.span, col:col + width] = block.transform
-            col += width
-        return out * _dense_factor(self.log_scale, -0.5)
 
     def basis(self) -> list[BivariatePolynomial]:
         return expand(self._arr, self.line_powers, self.monomials)
@@ -460,24 +444,19 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     )
 
 
-def _log_kernel(result: GramResult, x, y) -> np.ndarray:
-    """log of the sum of |sigma_l|^2 over the orthonormal basis, flattened.
-
-    The points are taken _CHUNK at a time, so the row blocks stay as small
-    as those of `gram_matrix` however many points are asked for.
-    """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    r = np.hypot(np.abs(x), np.abs(y))
-    unit = np.where(r > 0.0, r, 1.0)
-    ux, uy = x / unit, y / unit
-    with np.errstate(divide="ignore"):
-        log_r = np.log(r)[:, None]
-    out = np.empty(len(x))
-    for start in range(0, len(x), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
+def _log_kernel(result: GramResult, ux: np.ndarray, uy: np.ndarray,
+                log_r: np.ndarray) -> np.ndarray:
+    """log K(r u) as `_log_kernel_chunk` reads it, at most _CHUNK values
+    per pass: _CHUNK points (one radius each) or _CHUNK // 25 rays (25
+    radii each), so the row blocks stay as small as those of `gram_matrix`
+    however many are asked for."""
+    step = max(1, _CHUNK // log_r.shape[1])
+    out = np.empty((len(ux), log_r.shape[1]))
+    for start in range(0, len(ux), step):
+        chunk = slice(start, start + step)
         out[chunk] = _log_kernel_chunk(result, ux[chunk], uy[chunk],
-                                       log_r[chunk])[:, 0]
+                                       log_r[chunk] if len(log_r) > 1
+                                       else log_r)
     return out
 
 
@@ -516,13 +495,26 @@ def _log_kernel_chunk(result: GramResult, ux: np.ndarray, uy: np.ndarray,
                 + np.log(np.sum(np.exp(terms - top), axis=0)))
 
 
+def _log_kernel_on_points(result: GramResult, x, y) -> np.ndarray:
+    """log K at the points (x, y), in the shape of x: each z = (x, y) is
+    read as the direction z/|z| at the log radius log|z|."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    r = np.hypot(np.abs(x), np.abs(y)).ravel()
+    unit = np.where(r > 0.0, r, 1.0)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)[:, None]
+    return _log_kernel(result, x.ravel() / unit, y.ravel() / unit,
+                       log_r).reshape(x.shape)
+
+
 def kernel_values(result: GramResult, x, y) -> np.ndarray:
     """Sum of |sigma_l|^2 over the orthonormal basis, at arrays of points."""
-    return np.exp(_log_kernel(result, x, y)).reshape(np.shape(x))
+    return np.exp(_log_kernel_on_points(result, x, y))
 
 
 def _phi_on_points(result: GramResult, x, y) -> np.ndarray:
-    return (_log_kernel(result, x, y) / (2.0 * result.m)).reshape(np.shape(x))
+    return _log_kernel_on_points(result, x, y) / (2.0 * result.m)
 
 
 def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
@@ -561,17 +553,15 @@ def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                     *, rays: int = 8, gram: GramResult | None = None
                     ) -> RaySlopes:
     """Average slope of phi_hat_m against log r on SLOPE_WINDOW along
-    `rays` (>= 1) generic rays, all fitted in one product.  The kernel
-    takes _CHUNK // 25 rays (at most _CHUNK values) per pass."""
+    `rays` (>= 1) generic rays, all fitted in one product.  Each ray's
+    block kernels are read once for all its radii, in the chunked pass
+    that points take too."""
     if rays < 1:
         raise ValueError(f"a slope estimate needs rays >= 1, got {rays}")
     result = gram if gram is not None else gram_matrix(arr, m, quad)
     log_r = np.log(np.geomspace(*SLOPE_WINDOW))[None, :]
     u = np.array(generic_rays(arr, rays, quad.seed))
-    step = max(1, _CHUNK // log_r.size)
-    phi = np.concatenate([
-        _log_kernel_chunk(result, u[i:i + step, 0], u[i:i + step, 1], log_r)
-        for i in range(0, rays, step)]) / (2.0 * result.m)
+    phi = _log_kernel(result, u[:, 0], u[:, 1], log_r) / (2.0 * result.m)
     slopes = _slopes(log_r[0], phi)
     return RaySlopes(result, float(np.mean(slopes)), slopes.tolist())
 
@@ -586,10 +576,6 @@ class CurveScan(Record):
                  phi1: np.ndarray, phi2: np.ndarray, slope: float):
         self.grams, self.t, self.phi1, self.phi2 = grams, t, phi1, phi2
         self.slope = slope
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.phi2 - self.phi1
 
     def rows(self) -> list[list[float]]:
         return [

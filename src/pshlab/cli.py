@@ -280,7 +280,9 @@ def _parse_indices(args) -> list[int] | None:
     if args.indices is None:
         return None
     spec = args.indices.strip().lower()
-    k_max = max(args.k_max, 0)
+    k_max = args.k_max
+    if k_max < 0:
+        raise UsageError("--k-max must be >= 0")
     if spec == "pow2":
         _check_index_cost(k_max, k_max + 1)
         return [2 ** k for k in range(1, k_max + 1)]
@@ -426,24 +428,17 @@ def _parse_curve(spec: str):
     raise UsageError(f"unknown curve {spec!r}; use x=y or dir:re,im,re,im")
 
 
-def _require_finite(what: str, values, hint: str = "") -> None:
-    """A non-finite slope or kernel value is no result: report it as an
-    error instead of printing a verdict computed from it."""
-    import numpy as np
-
-    if not np.all(np.isfinite(values)):
-        raise UsageError(f"{what} is not finite" + hint)
-
-
 # The flags of each bergman mode, with their defaults.  A flag of the other
-# mode would change nothing: it is refused.
-_SCAN_FLAGS = {"curve": "x=y", "tmin": 1e-3, "tmax": 1e-1, "points": 25,
+# mode would change nothing: it is refused.  A scan's t grid (tmin, tmax,
+# points) defaults to bergman.SLOPE_WINDOW.
+_SCAN_FLAGS = {"curve": "x=y", "tmin": None, "tmax": None, "points": None,
                "slope_tol": 0.02}
 _RAY_FLAGS = {"m": None, "rays": 8, "audit_gram": False}
 
 
 def _cmd_bergman(args) -> int:
-    from .bergman import DegreeCutoffError, DenseScaleError, QuadratureSpec
+    from .bergman import (SLOPE_WINDOW, DegreeCutoffError, DenseScaleError,
+                          QuadratureSpec)
 
     arr = _resolve_arrangement(args)
     try:
@@ -462,9 +457,10 @@ def _cmd_bergman(args) -> int:
         raise UsageError(f"{', '.join(foreign)} not used by "
                          + ("a scan (--m1/--m2)" if scan_mode
                             else "ray slopes (--m)"))
+    window = dict(zip(("tmin", "tmax", "points"), SLOPE_WINDOW))
     for dest, default in own.items():
         if getattr(args, dest) is None:
-            setattr(args, dest, default)
+            setattr(args, dest, window.get(dest, default))
     if not scan_mode and args.m is None:
         raise UsageError("give --m for slope estimates or --m1/--m2 for a scan")
     # a degree cutoff beyond the quadrature rule or exact float degrees, or
@@ -494,10 +490,6 @@ def _bergman_scan(args, arr: WeightedArrangement, quad) -> int:
         raise UsageError("--slope-tol must be finite and >= 0")
     t = np.geomspace(args.tmin, args.tmax, args.points)
     scan = curve_scan(arr, args.m1, args.m2, curve, t, quad)
-    hint = " (does the curve lie on a line?)"
-    _require_finite(f"phi_{args.m1} along {curve_name}", scan.phi1, hint)
-    _require_finite(f"phi_{args.m2} along {curve_name}", scan.phi2, hint)
-    _require_finite(f"the slope along {curve_name}", scan.slope, hint)
     verdict = "UNBOUNDED" if scan.slope < -args.slope_tol else "BOUNDED"
 
     def to_json() -> dict:
@@ -533,7 +525,6 @@ def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
     if args.audit_gram and args.format != "json":
         raise UsageError("--audit-gram needs --format json")
     est = lelong_estimate(arr, args.m, quad, rays=args.rays)
-    _require_finite(f"a ray slope of phi_{args.m}", est.per_ray)
     symbolic = lelong(entry(arr, args.m).cls)
 
     def to_json() -> dict:

@@ -226,7 +226,7 @@ def monotonicity_report(arr: WeightedArrangement, m_max: int,
                         ) -> MonotonicityReport:
     entries = build_sequence(arr, m_max)
     comparisons, violations = _walk(entries)
-    sub = check_subsequence(arr, indices) if indices else None
+    sub = check_subsequence(arr, indices) if indices is not None else None
     return MonotonicityReport(
         arrangement=arr,
         entries=entries,

@@ -48,8 +48,18 @@ def _weighted_rows(arr, result, x, y):
 
 def direct_kernel(arr, result, x, y):
     """Sum of |sigma_l|^2 with sigma = transform^T applied to the basis
-    values at z itself, with no use of homogeneity."""
-    sigma = result.transform.T @ basis_values(arr, result, x, y)
+    values at z itself, with no use of homogeneity.  The transform of the
+    whole basis is block diagonal in the degree blocks, scaled back to the
+    arrangement's normalization by exp(-log_scale / 2)."""
+    transform = np.zeros((result.basis_size, result.effective_rank),
+                         dtype=np.complex128)
+    col = 0
+    for block in result.blocks:
+        width = block.transform.shape[1]
+        transform[block.span, col:col + width] = block.transform
+        col += width
+    sigma = (transform * np.exp(-result.log_scale / 2.0)).T @ basis_values(
+        arr, result, x, y)
     return np.sum(np.abs(sigma) ** 2, axis=0)
 
 

@@ -323,6 +323,22 @@ def test_bergman_csv_table(capsys):
     assert len(lines) == 6
 
 
+def test_bergman_scan_grid_defaults_to_the_slope_window(monkeypatch, capsys):
+    # the default t grid of a scan is bergman.SLOPE_WINDOW, read when the
+    # command runs, not a copy of it
+    import numpy as np
+
+    from pshlab import bergman
+
+    monkeypatch.setattr(bergman, "SLOPE_WINDOW", (1e-2, 1e-1, 7))
+    rc = main(["bergman", "--preset", "theorem1", "--m1", "3", "--m2", "4",
+               "--samples", "10000", "--max-degree", "8", "--format", "csv"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    t = [float(row.split(",")[0]) for row in rows]
+    assert t == np.geomspace(1e-2, 1e-1, 7).tolist()
+
+
 def test_usage_requires_m_flags():
     proc = run_cli(["bergman", "--preset", "theorem1"])
     assert proc.returncode == 2
@@ -469,6 +485,21 @@ def test_bergman_huge_degree_cutoff_exits_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "cofactor degree" in err
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--indices", ","], "strictly increasing"),
+    (["--indices", "pow2", "--k-max", "0"], "strictly increasing"),
+    (["--indices", "pow2", "--k-max", "-1"], "--k-max must be >= 0"),
+], ids=["empty-list", "pow2-k-max-0", "k-max-negative"])
+def test_sequence_empty_index_family_exits_2(flags, reason, capsys):
+    # an index family that names no index used to print "subsequence": null
+    # under exit 0, the requested check dropped without a word; a negative
+    # --k-max was clamped to 0
+    rc = main(["sequence", "--preset", "theorem1", "--m-max", "4", *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and reason in err
 
 
 @pytest.mark.parametrize("command, flags, reason", [

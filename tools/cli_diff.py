@@ -9,13 +9,14 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 29 commands in each of the formats json, csv and md (87 pairs): ``lct``,
+- 30 commands in each of the formats json, csv and md (90 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
-  (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y and a ray,
-  ray slopes with ``--audit-gram`` and over 64 rays, and ray slopes at
-  m = 8 and the scan (4, 8), where the default cutoff 12 admits nothing
-  at m = 8 and is raised to 19), on presets, on a three-line file
+  (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y, a ray and
+  a ray inside the line y = 0, whose non-finite report exits 2, ray
+  slopes with ``--audit-gram`` and over 64 rays, and ray slopes at m = 8
+  and the scan (4, 8), where the default cutoff 12 admits nothing at
+  m = 8 and is raised to 19), on presets, on a three-line file
   arrangement with a Gaussian-rational line and on three files with huge
   coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
@@ -28,7 +29,7 @@ and exit codes are compared byte for byte:
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (93 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (96 cases in all).
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
@@ -159,6 +160,7 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["bergman", *t, "--m1", "3", "--m2", "4", "--curve", "x=y", *fast],
         ["bergman", *t, "--m1", "3", "--m2", "5", "--curve",
          "dir:0.6,0.1,0.3,-0.7", *fast],
+        ["bergman", *t, "--m1", "3", "--m2", "4", "--curve", "dir:1,0,0,0"],
         ["bergman", *t, "--m", "4", "--rays", "4", "--samples", "10000",
          "--audit-gram"],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
