@@ -8,7 +8,8 @@ over the unit sphere S^3.  The weight is invariant under z -> e^{i theta} z,
 so elements of different total degree are orthogonal, and the same-degree
 sphere integrands are constant on the Hopf fibres: their means are
 integrals over CP^1, taken with a deterministic rule graded toward the
-line points.  Only the top degree block is accumulated over the nodes:
+line points.  Only the top degree block is summed over the rule, per line
+chart from the angular spectrum of the weight on the chart's polar grid:
 |x|^2 + |y|^2 = 1 on S^3 gives each lower block from the one above.  Each
 block is factorized on its own to an orthonormal basis, giving a
 computable lower truncation phi_hat of phi_m whose slopes near 0 recover
@@ -32,7 +33,7 @@ import numpy as np
 
 from .arrangement import HopfChart, WeightedArrangement, hopf_charts
 from .multiplier_ideal import expand, ideal_of
-from .polynomials import BivariatePolynomial
+from .polynomials import BivariatePolynomial, HomogeneousForm
 from .records import Frozen, Record
 from .singularity import generic_rays
 
@@ -45,8 +46,7 @@ SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 # exp(t) is a finite normal float for t in this range
 _EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
-# columns of one block product per chunk: Gram nodes, or kernel points,
-# a ray counting once per radius
+# kernel points per pass of `_log_kernel`, a ray counting once per radius
 _CHUNK = 1 << 13
 # Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
 # Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
@@ -128,16 +128,20 @@ def admissible_basis(arr: WeightedArrangement, m: int, max_degree: int
 def radial_factor(d_total: int, s) -> float:
     """Exact integral of r^(d_total - s + 3) over (0, 1].
 
-    `s` is the homogeneity degree 2m*total_mass of the weight; the
-    integrand exponent, taken exactly, must stay above -1.
+    `s` is the homogeneity degree 2m*total_mass of the weight, any rational
+    or float; the integrand exponent, taken exactly, must stay above -1.
+    The exponent ((d_total + 4) den - num) / den is rounded once by int /
+    int division, as `Fraction` rounds it, with no Fraction arithmetic.
     """
-    power = d_total - Fraction(s) + 4
+    num, den = ((s, 1) if isinstance(s, int)
+                else Fraction(s).as_integer_ratio())
+    power = (d_total + 4) * den - num
     if power <= 0:
         raise NonIntegrableExponentError(
-            f"radial exponent {power - 1} is not integrable; "
+            f"radial exponent {Fraction(power - den, den)} is not integrable; "
             "an inadmissible element slipped through the basis filter"
         )
-    return 1.0 / float(power)
+    return 1.0 / (power / den)
 
 
 def sphere_points(count: int, seed: int) -> np.ndarray:
@@ -172,56 +176,62 @@ def _gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 + x) / 2.0, vectors[0] ** 2 / (alpha + 1.0)
 
 
-def _chart_nodes(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
-                 phase: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Nodes (x, y), weights and line log moduli log(|ell_i(q)| / |ell_i|)
-    (one row per line) of chart j at the radial nodes s with plain weights
-    w, times the trapezoid angles `phase`.
+def _chart_weights(j: int, chart: HopfChart, s: np.ndarray, w: np.ndarray,
+                   phase: np.ndarray, exponents: tuple[float, ...]
+                   ) -> np.ndarray:
+    """c^2 = w chi_j prod_i (|ell_i(q)| / |ell_i|)^(2 e_i) of chart j on its
+    grid of radial nodes s (radial weights w) times the trapezoid angles
+    `phase` (weight 1 / angles each), one row per radial node.
 
     The charts are joined by the Shepard partition of unity
     chi_j = s_j^-3 / sum_i s_i^-3 with s_i = |ell_i(q)|^2 / |ell_i|^2,
-    read off the chart's line moduli on its (s, angle) grid, so they cover
-    CP^1 without a background rule.  A node that lands exactly on another
-    line carries chi_j = 0 and is dropped.
+    read off the chart's line moduli on its grid, so they cover CP^1
+    without a background rule.  A node that lands exactly on another line
+    carries chi_j = 0, and c = 0 there.
     """
-    p, n = chart.point, chart.normal
     inner = np.sqrt(1.0 - s)[:, None]
     outer = np.sqrt(s)[:, None] * phase
-    x = (inner * p[0] + outer * n[0]).ravel()
-    y = (inner * p[1] + outer * n[1]).ravel()
-    w = np.repeat(w / len(phase), len(phase))
-    moduli = np.array(chart.moduli(inner, outer)).reshape(-1, x.size)
+    moduli = np.array(chart.moduli(inner, outer)).reshape(-1, *outer.shape)
+    w = np.broadcast_to((w / len(phase))[:, None], outer.shape)
     if len(moduli) > 1:
         dist = moduli ** 2
         with np.errstate(divide="ignore"):
             w = w / np.sum((dist[j] / dist) ** 3, axis=0)
     keep = w > 0.0
-    return x[keep], y[keep], w[keep], np.log(moduli[:, keep])
+    c2 = np.zeros(outer.shape)
+    c2[keep] = w[keep] * np.exp(2.0 * np.array(exponents)
+                                @ np.log(moduli[:, keep]))
+    return c2
 
 
 @functools.lru_cache(maxsize=16)
 def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
                 jacobi: int, legendre: int, angles: int
-                ) -> tuple[np.ndarray, ...]:
-    """Nodes (x, y) on S^3 and the factor common = sqrt(w) prod_j
-    |ell_j|^e_j of the Hopf rule for the line exponents e, with weights w
-    such that sum(w * F) ~ the S^3 mean of any Hopf-fibre invariant F
-    carrying the factor prod |ell_j|^(2 e_j).  The arrays are read-only.
+                ) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The Hopf rule for the line exponents e, one (s, c2, spectrum) per
+    chart of `arrangement.hopf_charts`: radial nodes s, the squared common
+    factor c^2 = w prod_j |ell_j|^(2 e_j) on the nodes
+    q = sqrt(1-s) p + sqrt(s) e^{i phi_a} n (phi_a = 2 pi a / angles), with
+    weights w such that sum(w * F) ~ the S^3 mean of any Hopf-fibre
+    invariant F carrying the factor prod |ell_j|^(2 e_j), and its angular
+    spectrum[r, k] = sum_a c^2[r, a] e^{i k phi_a}.  The arrays are
+    read-only.
 
-    Chart j (`arrangement.hopf_charts`) carries the measure ds dphi / 2pi
-    (the normalized area of CP^1).  Its radial rule is Gauss-Jacobi for
-    s^e_j on the disc [0, s1] (weights divided by s^e_j), then
-    Gauss-Legendre on each dyadic panel [s1, 2 s1], ..., [1/2, 1].
+    Chart j carries the measure ds dphi / 2pi (the normalized area of
+    CP^1).  Its radial rule is Gauss-Jacobi for s^e_j on the disc [0, s1]
+    (weights divided by s^e_j), then Gauss-Legendre on each dyadic panel
+    [s1, 2 s1], ..., [1/2, 1].  The spectrum is one product with the
+    powers e^{i k phi_a} = phase[a k mod angles].
 
     Cached per exponent class: e_i = floor(m a_i) - m a_i depends on m only
     through m mod L (L the common denominator of the a_i), so a sweep over
     m builds at most one rule per residue.  Keyed by the node counts too,
-    so that a changed rule is rebuilt.  Only what `gram_matrix` reads is
-    kept: w and the line log moduli are dropped.
+    so that a changed rule is rebuilt.
     """
     phase = np.exp(2j * np.pi * np.arange(angles) / angles)
+    powers = phase[np.outer(np.arange(angles), np.arange(angles)) % angles]
     sl, wl = _gauss_jacobi(legendre, 0.0)
-    parts = []
+    rule = []
     for j, (chart, e) in enumerate(zip(hopf_charts(arr), exponents or (0.0,))):
         sj, wj = _gauss_jacobi(jacobi, e)
         nodes, weights = [chart.s1 * sj], [chart.s1 * wj / sj ** e]
@@ -230,14 +240,68 @@ def _hopf_nodes(arr: WeightedArrangement, exponents: tuple[float, ...],
             nodes.append(edge * (1.0 + sl))
             weights.append(edge * wl)
             edge *= 2.0
-        parts.append(_chart_nodes(j, chart, np.concatenate(nodes),
-                                  np.concatenate(weights), phase))
-    x, y, w, log_moduli = (np.concatenate(part, axis=-1)
-                           for part in zip(*parts))
-    rule = x, y, np.sqrt(w) * np.exp(np.array(exponents) @ log_moduli)
-    for array in rule:
+        s = np.concatenate(nodes)
+        c2 = _chart_weights(j, chart, s, np.concatenate(weights), phase,
+                            exponents)
+        rule.append((s, c2, c2 @ powers))
+    for array in (array for part in rule for array in part):
         array.flags.writeable = False
-    return rule
+    return tuple(rule)
+
+
+# the chart frames in fixed point: p and n to 2^-64
+_FIXED = 1 << 64
+
+
+def _frame_rows(px, nx, py, ny, t: int, last: int) -> np.ndarray:
+    """Rows 0..last of M for x = px a + nx b, y = py a + ny b over Z[i]
+    (pairs (re, im), px != 0), over 2^(64 t), each rounded to a float once:
+    row 0 is x^t, and row i+1 is row i * y divided exactly by x, from the
+    a^t end: q_k = (y_a c_k + y_b c_(k-1) - x_b q_(k-1)) / px."""
+    (ar, ai), norm = px, px[0] ** 2 + px[1] ** 2
+    # y_a, y_b and x_b times conj(px): one real division by |px|^2 per part
+    (yr, yi), (mr, mi), (xr, xi) = ((cr * ar + ci * ai, ci * ar - cr * ai)
+                                    for cr, ci in (py, ny, nx))
+    rows = [HomogeneousForm(1, (px, nx)).power(t).coeffs]
+    for _ in range(last):
+        out, pr, pi, qr, qi = [], 0, 0, 0, 0
+        for cr, ci in rows[-1]:
+            qr, qi = ((cr * yr - ci * yi + pr * mr - pi * mi - qr * xr
+                       + qi * xi) // norm,
+                      (cr * yi + ci * yr + pr * mi + pi * mr - qr * xi
+                       - qi * xr) // norm)
+            out.append((qr, qi))
+            pr, pi = cr, ci
+        rows.append(out)
+    den = _FIXED ** t
+    return np.array([[complex(re / den, im / den) for re, im in row]
+                     for row in rows])
+
+
+@functools.lru_cache(maxsize=32)
+def _chart_rows(arr: WeightedArrangement, t: int) -> tuple[np.ndarray, ...]:
+    """Per chart of `hopf_charts`, the (t+1) x (t+1) matrix M with
+    x^(t-i) y^i = sum_k M[i, k] a^(t-k) b^k at x = a p + b n: the frame
+    p, n rounded to 64-bit fixed point and expanded exactly (`_frame_rows`;
+    float recurrences lose digits to cancellation by cofactor degree 47).
+    The frames p, n = (B, -A), (conj A, conj B) of `hopf_charts` give
+    M[t-i, t-k] = (-1)^(i+k) conj M[i, k], so half the rows suffice.
+    Cached per cofactor degree; the arrays are read-only."""
+    out = []
+    k = np.arange(t + 1)
+    for chart in hopf_charts(arr):
+        px, py, nx, ny = ((round(z.real * _FIXED), round(z.imag * _FIXED))
+                          for z in (*chart.point, *chart.normal))
+        half = t // 2 if (nx, ny) == ((-py[0], py[1]), (px[0], -px[1])) else t
+        if px == (0, 0):  # x = nx b: expand in (b, a)
+            rows = _frame_rows(nx, px, ny, py, t, half)[:, ::-1]
+        else:
+            rows = _frame_rows(px, nx, py, ny, t, half)
+        sign = (-1.0) ** np.add.outer(k, k)[:t - half]
+        mirror = (sign * rows[:t - half].conj())[::-1, ::-1]
+        out.append(np.vstack([rows, mirror]))
+        out[-1].flags.writeable = False
+    return tuple(out)
 
 
 class GramBlock(NamedTuple):
@@ -322,20 +386,17 @@ class GramResult(Record):
 
 
 def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     t_lo: int, t_hi: int, work: tuple[np.ndarray, ...] = ()):
+                     t_lo: int, t_hi: int):
     """Yield the rows of cofactor degree t = t_lo..t_hi, one (t+1) x n
     block each: rows[i] = common * x^(t-i) * y^i.
 
     Block t+1 is x * block t followed by y * (its last row): two products
-    per block, written alternately into the two flat complex buffers of
-    `work` (each of at least (t_hi+1) * n entries; allocated here if not
-    given).  A yielded block is overwritten two blocks later.
+    per block, written alternately into two flat complex buffers of
+    (t_hi+1) * n entries.  A yielded block is overwritten two blocks later.
     """
     n = len(x)
-    if not work:
-        work = tuple(np.empty((t_hi + 1) * n, dtype=np.complex128)
-                     for _ in range(2))
-    cur, nxt = work
+    cur, nxt = (np.empty((t_hi + 1) * n, dtype=np.complex128)
+                for _ in range(2))
     rows = cur[:n].reshape(1, n)
     rows[0] = common
     for t in range(t_hi + 1):
@@ -355,14 +416,21 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
 
     The block of cofactor degree t scales S_t = sum(rows * conj(rows)^T)
     over the Hopf rule nodes, rows being the cofactor monomials times one
-    common factor per node, |prod ell_i^b_i| e^{-m phi} sqrt(w) =
-    exp(sum_i e_i log|ell_i|) sqrt(w) for the unit forms ell_i, from the
-    nodes' line log moduli.  Each e_i = b_i - m a_i lies in (-1, 0], so no
-    factor overflows or underflows however large m is; the phase of
-    prod ell_i^b_i cancels in every f_j conj(f_k), so it is never formed.
-    Only the top block is accumulated over the nodes: every node lies on
-    S^3, so multiplying block t's integrand by |x|^2 + |y|^2 = 1 gives
-    S_t[i, j] = S_{t+1}[i, j] + S_{t+1}[i+1, j+1].
+    common factor per node, c = |prod ell_i^b_i| e^{-m phi} sqrt(w) =
+    exp(sum_i e_i log|ell_i|) sqrt(w) for the unit forms ell_i.  Each
+    e_i = b_i - m a_i lies in (-1, 0], so no factor overflows or underflows
+    however large m is; the phase of prod ell_i^b_i cancels in every
+    f_j conj(f_k), so it is never formed.
+
+    Only the top block is summed over the rule, and not node by node: on
+    chart j the nodes are x = a p + b n with a = sqrt(1 - s_r) and
+    b = sqrt(s_r) e^{i phi}, so x^(t-i) y^i = sum_k M_j[i, k] a^(t-k) b^k
+    (`_chart_rows`) and S_t = sum_j M_j T_j M_j^H, where
+    T_j[k, l] = sum_r (1 - s_r)^(t - (k+l)/2) s_r^((k+l)/2) G_j[r, k - l]
+    and G_j is the angular spectrum of c^2 (`_hopf_nodes`, mode k - l
+    taken mod HOPF_ANGLES): the same quadrature sum in another order.
+    Every node lies on S^3, so multiplying block t's integrand by
+    |x|^2 + |y|^2 = 1 gives S_t[i, j] = S_{t+1}[i, j] + S_{t+1}[i+1, j+1].
 
     A cutoff that admits nothing is raised to the lowest admissible degree
     base + p plus CUTOFF_MARGIN, and the result's `spec` names the cutoff
@@ -392,19 +460,18 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
     exponents = tuple(float(b - m * a)
                       for b, a in zip(line_powers, arr.coeffs))
-    x, y, common = _hopf_nodes(arr, exponents, HOPF_JACOBI, HOPF_LEGENDRE,
-                               HOPF_ANGLES)
+    rule = _hopf_nodes(arr, exponents, HOPF_JACOBI, HOPF_LEGENDRE,
+                       HOPF_ANGLES)
 
-    # work buffers for the top block, allocated once and reused by every chunk
-    size = (t_hi + 1) * min(_CHUNK, len(x))
-    work = (np.empty(size, dtype=np.complex128),
-            np.empty(size, dtype=np.complex128))
-    sums = [np.zeros((t_hi + 1, t_hi + 1), dtype=np.complex128)]
-    for start in range(0, len(x), _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        for rows in _cofactor_blocks(common[chunk], x[chunk], y[chunk],
-                                     t_hi, t_hi, work):
-            sums[0] += rows @ rows.conj().T
+    # the top block, chart by chart: S = sum_j M_j T_j M_j^H
+    k, n = np.arange(t_hi + 1), np.arange(2 * t_hi + 1)
+    entries = k[:, None] + k, (k[:, None] - k) % HOPF_ANGLES
+    top = np.zeros((t_hi + 1, t_hi + 1), dtype=np.complex128)
+    for rows, (s, _, spectrum) in zip(_chart_rows(arr, t_hi), rule):
+        radial = (np.sqrt(1.0 - s)[:, None] ** (2 * t_hi - n)
+                  * np.sqrt(s)[:, None] ** n)
+        top += rows @ (radial.T @ spectrum)[entries] @ rows.conj().T
+    sums = [top]
     for _ in cofactor_degrees[1:]:
         sums.insert(0, sums[0][:-1, :-1] + sums[0][1:, 1:])
 
@@ -437,7 +504,7 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
         blocks=blocks,
         effective_rank=rank,
         degenerate=rank < len(monos),
-        nodes=len(x),
+        nodes=sum(int(np.count_nonzero(c2)) for _, c2, _ in rule),
         log_scale=2.0 * sum(e * line.log_norm
                             for e, line in zip(exponents, arr.lines)),
         _arr=arr,
@@ -448,8 +515,8 @@ def _log_kernel(result: GramResult, ux: np.ndarray, uy: np.ndarray,
                 log_r: np.ndarray) -> np.ndarray:
     """log K(r u) as `_log_kernel_chunk` reads it, at most _CHUNK values
     per pass: _CHUNK points (one radius each) or _CHUNK // 25 rays (25
-    radii each), so the row blocks stay as small as those of `gram_matrix`
-    however many are asked for."""
+    radii each), so the row blocks stay small however many are asked
+    for."""
     step = max(1, _CHUNK // log_r.shape[1])
     out = np.empty((len(ux), log_r.shape[1]))
     for start in range(0, len(ux), step):

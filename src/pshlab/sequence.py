@@ -186,9 +186,9 @@ def _subsequence_verdict(arr: WeightedArrangement,
 def check_subsequence(arr: WeightedArrangement, indices: Iterable[int]
                       ) -> SubsequenceVerdict:
     idx = tuple(int(i) for i in indices)
-    if not idx or any(i < 1 for i in idx) or any(
-        a >= b for a, b in zip(idx, idx[1:])
-    ):
+    if not idx:
+        raise ValueError("the index family names no index")
+    if any(i < 1 for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError("indices must be a strictly increasing list of m >= 1")
     return _subsequence_verdict(arr, _entries(arr, idx))
 

@@ -12,14 +12,18 @@ must sit within sampling noise of 0 and same-degree ones within sampling
 noise of `gram_matrix`.  `direct_kernel` likewise checks the log-space
 kernel of `kernel_values` against the plain sum over the basis values.
 Direct evaluation overflows for large m; use these at small m only.
-`per_block_grams` sums every degree block over the nodes on its own, as
-one row product per block and node chunk, where `gram_matrix` sums only
-the top block and derives the others from |x|^2 + |y|^2 = 1.
+`per_block_grams` sums every degree block over the Hopf nodes on its own,
+node by node, as one row product per block and node chunk.  It rebuilds
+the flat nodes x = sqrt(1-s) p + sqrt(s) e^{i phi} n and their common
+factors sqrt(c^2) from each chart's cached grid, where `gram_matrix` sums
+only the top block, chart by chart from the angular spectrum of c^2, and
+derives the others from |x|^2 + |y|^2 = 1.
 """
 
 import numpy as np
 
 from pshlab import bergman
+from pshlab.arrangement import hopf_charts
 from pshlab.bergman import SPHERE_AREA, radial_factor, sphere_points
 
 CHUNK = 1 << 14
@@ -105,25 +109,42 @@ def max_cross_degree_z(arr, result):
     return float(z.max()) if z.size else 0.0
 
 
+def hopf_nodes(arr, result):
+    """The kept Hopf rule nodes (x, y) of `result` and their common factors
+    c, flat, rebuilt from the cached (s, angle) grid of every chart."""
+    exponents = tuple(float(b - result.m * a)
+                      for b, a in zip(result.line_powers, arr.coeffs))
+    rule = bergman._hopf_nodes(
+        arr, exponents, bergman.HOPF_JACOBI, bergman.HOPF_LEGENDRE,
+        bergman.HOPF_ANGLES)
+    angles = bergman.HOPF_ANGLES
+    phase = np.exp(2j * np.pi * np.arange(angles) / angles)
+    parts = []
+    for chart, (s, c2, _) in zip(hopf_charts(arr), rule):
+        inner = np.sqrt(1.0 - s)[:, None]
+        outer = np.sqrt(s)[:, None] * phase
+        keep = c2 > 0.0
+        parts.append([(inner * p + outer * n)[keep]
+                      for p, n in zip(chart.point, chart.normal)]
+                     + [np.sqrt(c2[keep])])
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def per_block_grams(arr, result):
     """The same-degree Gram blocks of `result`, each block summed over the
     nodes of its Hopf rule as rows @ conj(rows)^T, then scaled and
     symmetrized as `gram_matrix` does."""
-    m, base = result.m, sum(result.line_powers)
-    exponents = tuple(float(b - m * a)
-                      for b, a in zip(result.line_powers, arr.coeffs))
-    x, y, common = bergman._hopf_nodes(
-        arr, exponents, bergman.HOPF_JACOBI, bergman.HOPF_LEGENDRE,
-        bergman.HOPF_ANGLES)
+    base = sum(result.line_powers)
+    x, y, common = hopf_nodes(arr, result)
     degrees = [block.degree - base for block in result.blocks]
     sums = [np.zeros((t + 1, t + 1), dtype=np.complex128) for t in degrees]
-    for start in range(0, len(x), bergman._CHUNK):
-        chunk = slice(start, start + bergman._CHUNK)
+    for start in range(0, len(x), CHUNK):
+        chunk = slice(start, start + CHUNK)
         for rows, s_sum in zip(bergman._cofactor_blocks(
                 common[chunk], x[chunk], y[chunk], degrees[0], degrees[-1]),
                 sums):
             s_sum += rows @ np.conjugate(rows).T
-    s_hom = 2 * m * arr.total_mass
+    s_hom = 2 * result.m * arr.total_mass
     grams = []
     for block, s_sum in zip(result.blocks, sums):
         gram = s_sum * (SPHERE_AREA * radial_factor(2 * block.degree, s_hom))

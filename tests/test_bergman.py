@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from pshlab import bergman, multiplier_ideal
-from pshlab.arrangement import new_arrangement, preset
+from pshlab.arrangement import (
+    arrangement_from_dict,
+    hopf_charts,
+    new_arrangement,
+    preset,
+)
 from pshlab.bergman import (
     DegreeCutoffError,
     NonIntegrableExponentError,
@@ -22,6 +27,7 @@ from pshlab.bergman import (
 )
 from pshlab.gaussian import GaussianRational
 from pshlab.polynomials import BivariatePolynomial as P
+from pshlab.polynomials import HomogeneousForm
 from pshlab.sequence import entry
 from pshlab.singularity import generic_rays, lelong
 
@@ -54,6 +60,42 @@ def test_radial_factor_values():
         3 / 13)
     with pytest.raises(NonIntegrableExponentError):
         radial_factor(0, 6)
+
+
+# lines x, y and x + y with weights and point mass over denominators of
+# about 1000 bits, the file limit
+BIG_WEIGHTS = arrangement_from_dict({
+    "lines": [[1, 0], [0, 1], [1, 1]],
+    "coeffs": [f"{k * 5 ** 429 + r}/{5 ** 430}"
+               for k, r in ((3, 1), (2, -1), (4, -1))],
+    "point_mass": f"{7 ** 354}/{7 ** 355 - 2}",
+})
+
+
+@pytest.mark.parametrize("arr", [THEOREM1, BIG_WEIGHTS],
+                         ids=["theorem1", "1000-bit-weights"])
+def test_radial_factor_matches_the_fraction_formula(arr):
+    # gram_matrix passes the exact s = 2m total_mass: int / int rounds the
+    # exponent once, as Fraction does, so every factor is the float of the
+    # exact formula, bit for bit
+    for m in (1, 2, 3, 7, 1000):
+        s = 2 * m * arr.total_mass
+        for d in range(math.floor(s) - 6, math.floor(s) + 40):
+            power = d - s + 4
+            if power <= 0:
+                with pytest.raises(NonIntegrableExponentError,
+                                   match=f"exponent {power - 1} "):
+                    radial_factor(d, s)
+                continue
+            assert radial_factor(d, s) == 1.0 / float(power)
+
+
+def test_radial_factor_takes_floats_and_numpy_integers():
+    # s is anything Fraction takes, as before the integer body
+    assert radial_factor(12, 12.5) == 1.0 / 3.5
+    assert radial_factor(12, np.int64(6)) == 0.1
+    with pytest.raises(NonIntegrableExponentError, match="exponent -3 "):
+        radial_factor(0, np.int64(6))
 
 
 def test_admissible_basis_examples():
@@ -109,16 +151,14 @@ def test_gram_determinism_bitwise():
 
 
 def test_gram_independent_of_chunk_size(monkeypatch):
-    # the row blocks reuse their buffers from chunk to chunk (here the
-    # 9,216 nodes of theorem1 in 10 chunks, the last one short): same sums
+    # the Gram takes no node chunks: _CHUNK, the kernel's pass size, leaves
+    # it unchanged bit for bit on the 9,216 nodes of theorem1
     quad = QuadratureSpec(max_degree=8, sphere_samples=10_500, seed=42)
     whole = gram_matrix(THEOREM1, 2, quad)
     monkeypatch.setattr(bergman, "_CHUNK", 1000)
     chunked = gram_matrix(THEOREM1, 2, quad)
     assert chunked.nodes == whole.nodes > 9000
-    diag = np.sqrt(np.diag(whole.gram).real)
-    err = np.abs(chunked.gram - whole.gram) / np.outer(diag, diag)
-    assert err.max() < 1e-12
+    assert np.array_equal(chunked.gram, whole.gram)
 
 def test_gram_positive_semidefinite():
     result = gram_matrix(THEOREM1, 1, QuadratureSpec(10, 50_000, 7))
@@ -521,6 +561,13 @@ def _doubled_nodes(monkeypatch):
 
 CLOSE_LINES = new_arrangement(
     [(1, 0), ((1, 0), (1, "1/3")), (1, "1/1000")], ["2/3", "3/4", "3/5"])
+# one line; x and x + 2^1998 y, whose unit frames round to those of x and
+# y; and x, y, x + (1+i)/2 y with a point mass
+ONE_LINE = new_arrangement([(1, 0)], ["3/4"])
+HUGE_NORM = new_arrangement([(1, 0), (Fraction(1, 2 ** 999), 2 ** 999)],
+                            [Fraction(1, 2), Fraction(99, 100)])
+GAUSSIAN_LINES = new_arrangement(
+    [(1, 0), (0, 1), (1, ("1/2", "1/2"))], ["1/2", "2/3", "5/6"], "1/4")
 
 
 @pytest.mark.parametrize("arr, m, degree", [
@@ -551,32 +598,81 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
        1, 12) for lines in ([(1, 0), (0, 1)], [(1, 0), (1, 3)])
       for k in (2, 6, 9)),
     (HUGE_LINE, 1, 12), (ZERO_WEIGHT, 1, 12),
+    (ONE_LINE, 1, 47), (HUGE_NORM, 1, 47), (GAUSSIAN_LINES, 1, 47),
 ], ids=[*(f"theorem1-m{m}" for m in (1, 2, 3, 4, 5, 8)), "trivial-top",
         "theorem1-m1-top", "close-m1-top",
         *(f"{pair}-k{k}" for pair in ("toric", "x-x3y") for k in (2, 6, 9)),
-        "huge-line", "trivial"])
+        "huge-line", "trivial", "x-top", "huge-norm-top", "gaussian-top"])
 def test_gram_blocks_match_per_block_sums(arr, m, degree, monkeypatch):
-    # gram_matrix sums only the top block over the nodes, one row product
-    # per node chunk, and takes each lower block from the one above by
-    # |x|^2 + |y|^2 = 1: every block matches the blocks summed one by one
-    # over the nodes to 1e-13 of sqrt(G_ii G_jj), also after 47 steps down
-    products = []
-    real_blocks = bergman._cofactor_blocks
+    # gram_matrix sums only the top block, chart by chart from the angular
+    # spectrum, with no row product over the nodes, and takes each lower
+    # block from the one above by |x|^2 + |y|^2 = 1: every block matches
+    # the blocks summed one by one over the nodes to 1e-13 of
+    # sqrt(G_ii G_jj), also after 47 steps down
+    def no_rows(*args):
+        raise AssertionError("node-level row product")
 
-    def recorded(*args):
-        products.append(0)
-        for rows in real_blocks(*args):
-            products[-1] += 1
-            yield rows
-
-    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    monkeypatch.setattr(bergman, "_cofactor_blocks", no_rows)
     result = gram_matrix(arr, m, QuadratureSpec(degree, 10_000, 1))
-    assert products == [1] * math.ceil(result.nodes / bergman._CHUNK)
     monkeypatch.undo()
     reference = per_block_grams(arr, result)
     assert len(reference) == len(result.blocks) > 1
     for block, gram in zip(result.blocks, reference):
         assert _max_relative(gram, block.gram) <= 1e-13
+
+
+@pytest.mark.parametrize("arr, t", [
+    (THEOREM1, 12), (THEOREM1, 47), (CLOSE_LINES, 47), (HUGE_LINE, 47),
+    (ZERO_WEIGHT, 5),
+], ids=["theorem1", "theorem1-top", "close-top", "huge-line-top", "trivial"])
+def test_chart_rows_expand_the_monomials(arr, t):
+    # sum_k M_j[i, k] a^(t-k) b^k is x^(t-i) y^i at the nodes
+    # x = a p + b n of chart j, a = sqrt(1-s), b = sqrt(s) e^{i phi}
+    angles = bergman.HOPF_ANGLES
+    phase = np.exp(2j * np.pi * np.arange(angles) / angles)
+    rule = bergman._hopf_nodes(arr, (0.0,) * len(arr.lines),
+                               bergman.HOPF_JACOBI, bergman.HOPF_LEGENDRE,
+                               angles)
+    k = np.arange(t + 1)[:, None]
+    for chart, rows, (s, _, _) in zip(hopf_charts(arr),
+                                      bergman._chart_rows(arr, t), rule):
+        a = np.repeat(np.sqrt(1.0 - s), angles)
+        b = np.outer(np.sqrt(s), phase).ravel()
+        x, y = (a * p + b * n for p, n in zip(chart.point, chart.normal))
+        got = rows @ (a ** (t - k) * b ** k)
+        want = x ** (t - k) * y ** k
+        # |x|, |y| <= 1: each side is off by about t ulp of 1
+        assert np.abs(got - want).max() <= 2 * (t + 1) * np.finfo(float).eps
+
+
+def _expanded_rows(px, nx, py, ny, t):
+    # x^(t-i) y^i by exact form products, over 2^(64 t), rounded once
+    fx, fy = HomogeneousForm(1, (px, nx)), HomogeneousForm(1, (py, ny))
+    den = bergman._FIXED ** t
+    return np.array([[complex(re / den, im / den)
+                      for re, im in (fx.power(t - i) * fy.power(i)).coeffs]
+                     for i in range(t + 1)])
+
+
+@pytest.mark.parametrize("arr", [THEOREM1, CLOSE_LINES, GAUSSIAN_LINES],
+                         ids=["theorem1", "close", "gaussian"])
+def test_chart_rows_are_the_exact_expansion(arr):
+    # the division recurrence, and the half of the rows taken by symmetry,
+    # give bit for bit the product expansion of the fixed-point frame, at
+    # cofactor degree 47; the frame x = nx b (px = 0) of the line x included
+    t, fixed = 47, bergman._FIXED
+    for chart, rows in zip(hopf_charts(arr), bergman._chart_rows(arr, t)):
+        px, py, nx, ny = ((round(z.real * fixed), round(z.imag * fixed))
+                          for z in (*chart.point, *chart.normal))
+        assert np.array_equal(rows, _expanded_rows(px, nx, py, ny, t))
+
+
+def test_frame_rows_divide_exactly_on_any_frame():
+    # a Gaussian-integer frame with no symmetry: every row by the recurrence
+    frame = (3, -2), (5, 1), (-7, 4), (2, 9)
+    for t in (0, 1, 6, 21):
+        assert np.array_equal(bergman._frame_rows(*frame, t, t),
+                              _expanded_rows(*frame, t))
 
 
 def test_node_set_shared_across_m():

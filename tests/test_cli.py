@@ -488,14 +488,16 @@ def test_bergman_huge_degree_cutoff_exits_2(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("flags, reason", [
-    (["--indices", ","], "strictly increasing"),
-    (["--indices", "pow2", "--k-max", "0"], "strictly increasing"),
+    (["--indices", ","], "the index family names no index"),
+    (["--indices", "pow2", "--k-max", "0"], "the index family names no index"),
     (["--indices", "pow2", "--k-max", "-1"], "--k-max must be >= 0"),
-], ids=["empty-list", "pow2-k-max-0", "k-max-negative"])
+    (["--indices", "4,2"], "strictly increasing"),
+], ids=["empty-list", "pow2-k-max-0", "k-max-negative", "not-increasing"])
 def test_sequence_empty_index_family_exits_2(flags, reason, capsys):
     # an index family that names no index used to print "subsequence": null
     # under exit 0, the requested check dropped without a word; a negative
-    # --k-max was clamped to 0
+    # --k-max was clamped to 0.  An empty family is told apart from one
+    # that is not strictly increasing
     rc = main(["sequence", "--preset", "theorem1", "--m-max", "4", *flags])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""

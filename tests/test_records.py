@@ -59,6 +59,16 @@ def test_numeric_layers_load_no_dataclasses():
     assert "numpy" in loaded and "dataclasses" not in loaded
 
 
+def test_gram_loads_no_fft():
+    # the angular spectra of the Hopf rule are one product with the phase
+    # powers each: a Gram up to the top cofactor degree needs no numpy.fft
+    loaded = _new_modules(
+        "from pshlab import bergman\nfrom pshlab.arrangement import preset\n"
+        "bergman.gram_matrix(preset('theorem1'), 1,\n"
+        "                    bergman.QuadratureSpec(47, 10_000, 1))")
+    assert "pshlab.bergman" in loaded and "numpy.fft" not in loaded
+
+
 CHART = HopfChart(point=(1 + 0j, 0j), normal=(0j, 1 + 0j),
                   spacing=Fraction(1, 2), s1=0.125, pairs=((0j, 1 + 0j),),
                   chart_x=HomogeneousForm(1, ((1, 0), (0, 0))),

@@ -146,9 +146,9 @@ def test_check_subsequence_failure():
     verdict = check_subsequence(THEOREM1, [1, 2, 3, 4])
     assert not verdict.decreasing
     assert verdict.first_failure == (3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         check_subsequence(THEOREM1, [4, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="names no index"):
         check_subsequence(THEOREM1, [])
 
 

@@ -9,7 +9,7 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 30 commands in each of the formats json, csv and md (90 pairs): ``lct``,
+- 31 commands in each of the formats json, csv and md (93 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y, a ray and
@@ -17,7 +17,8 @@ and exit codes are compared byte for byte:
   slopes with ``--audit-gram`` and over 64 rays, and ray slopes at m = 8
   and the scan (4, 8), where the default cutoff 12 admits nothing at
   m = 8 and is raised to 19), on presets, on a three-line file
-  arrangement with a Gaussian-rational line and on three files with huge
+  arrangement with a Gaussian-rational line (also ray slopes at cutoff 47,
+  the top cofactor degree the Hopf rule takes) and on three files with huge
   coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
   ``--audit-gram`` at m = 1 on x, x + 2^1998 y with weight 99/100, whose
@@ -29,7 +30,7 @@ and exit codes are compared byte for byte:
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (96 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (99 cases in all).
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
@@ -166,6 +167,7 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
         ["bergman", *t, "--m", "1", "--rays", "64"],
         ["bergman", *f, "--m", "2", "--rays", "64"],
+        ["bergman", *f, "--m", "1", "--max-degree", "47", "--rays", "4"],
         ["bergman", *t, "--m", "8", "--rays", "3"],
         ["bergman", *t, "--m1", "4", "--m2", "8", "--points", "9"],
     ] + [["bergman", "--file", huge, "--m", "2", "--rays", "3",
