@@ -58,7 +58,10 @@ def _charts(arr: WeightedArrangement) -> tuple:
     line points and built once per arrangement: log s at LEVELS (chart x
     level); log alpha, z = beta / alpha, log|z| and the weight's log per
     unit of c, sum_i -2 a_i log|ell_i(q)|, on the (chart, level, angle)
-    grid; the chart coordinates as linear forms in (alpha, beta).
+    grid; the chart coordinates as linear forms in (alpha, beta).  beta
+    comes from log s, since s underflows for line points closer than
+    about 2^-528; beta is subnormal below about 2^-1013 (undecided from
+    about 2^-1055) and 0 below about 2^-1066 (NaN margins).
 
     Chart j (`arrangement.hopf_charts`) is q = alpha v + beta n, in which
     every line form is alpha ell_i(v) + beta ell_i(n); the weight reads the
@@ -72,7 +75,7 @@ def _charts(arr: WeightedArrangement) -> tuple:
                        for chart in charts])[:, None]
              - math.log(2.0) * np.array(LEVELS, dtype=float))
     s = np.exp(log_s)[..., None]
-    alpha, beta = np.sqrt(1.0 - s), np.sqrt(s) * phase
+    alpha, beta = np.sqrt(1.0 - s), np.exp(0.5 * log_s)[..., None] * phase
     moduli = np.array([chart.moduli(*grid)
                        for chart, *grid in zip(charts, alpha, beta)])
     log_weight = -2.0 * sum(float(a) * np.log(moduli[:, i])
@@ -82,31 +85,42 @@ def _charts(arr: WeightedArrangement) -> tuple:
             tuple((chart.chart_x, chart.chart_y) for chart in charts))
 
 
-def _margins(components: list[HomogeneousForm], charts: tuple, c: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa-hat, spread) of every homogeneous component at every line
-    point (component x chart), in one pass over (component, chart, level,
-    angle): the slopes of the log angular mean between levels (s quartered
-    at each step), then Richardson's (4 next - previous) / 3."""
-    log_s, log_alpha, z, log_z, log_weight, forms = charts
+@functools.lru_cache(maxsize=32)
+def _log_form(arr: WeightedArrangement, form: HomogeneousForm) -> np.ndarray:
+    """log|f_d|^2 of one homogeneous component on the (chart, level, angle)
+    grid of `_charts`, the part of the integrand free of c: built once per
+    arrangement and component, so a scan over c substitutes it once.
+    Read-only."""
+    _, log_alpha, z, log_z, _, forms = _charts(arr)
     # exact, so a zero of order k at the line point gives g_0 = ... =
     # g_(k-1) = 0.0 and no rounding floor hides how fast f_d vanishes
-    rows = [scaled_complex(form.substitute(x, y).coeffs)
-            for form in components for x, y in forms]
+    rows = [scaled_complex(form.substitute(x, y).coeffs) for x, y in forms]
     # f_d = alpha^d z^k sum_i g_(k+i) z^i; z^k in logs cannot underflow
     ks = [next(i for i, g in enumerate(row) if g) for row in rows]
     width = max((len(row) - k for row, k in zip(rows, ks)), default=0)
-    # zero top coefficients pad every row to one width: 0 z + g = g
+    # zero top coefficients pad every chart to one width: 0 z + g = g
     g = np.array([row[k:] + [0j] * (width - len(row) + k)
                   for row, k in zip(rows, ks)], dtype=complex
-                 ).reshape(len(components), len(forms), width)
+                 ).reshape(len(forms), width)
     poly = 0.0
-    for coeff in np.moveaxis(g, -1, 0)[::-1, ..., None, None]:
+    for coeff in g.T[::-1, :, None, None]:
         poly = poly * z + coeff
-    degrees = np.array([form.degree for form in components])
-    log_g = 2.0 * (degrees[:, None, None, None] * log_alpha
-                   + np.reshape(ks, g.shape[:2])[..., None, None] * log_z
-                   + np.log(np.abs(poly))) + c * log_weight
+    grid = 2.0 * (form.degree * log_alpha
+                  + np.reshape(ks, (-1, 1, 1)) * log_z + np.log(np.abs(poly)))
+    grid.flags.writeable = False
+    return grid
+
+
+def _margins(arr: WeightedArrangement, components: list[HomogeneousForm],
+             c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa-hat, spread) of every homogeneous component at every line
+    point (component x chart), in one pass over (component, chart, level,
+    angle): each component's `_log_form` plus c times the weight, the
+    slopes of the log angular mean between levels (s quartered at each
+    step), then Richardson's (4 next - previous) / 3."""
+    log_s, *_, log_weight, _ = _charts(arr)
+    log_g = (np.stack([_log_form(arr, form) for form in components])
+             + c * log_weight)
     top = log_g.max(axis=-1, keepdims=True)
     log_mean = top[..., 0] + np.log(np.mean(np.exp(log_g - top), axis=-1))
     slopes = np.diff(log_mean) / np.diff(log_s)
@@ -128,7 +142,7 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     # a log of 0 (a chart grid point on a zero) yields a non-finite margin,
     # which fails every comparison below: divergent and undecided
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa, spread = _margins(components, _charts(arr), float(c))
+        kappa, spread = _margins(arr, components, float(c))
     tol = np.maximum(20.0 * spread, MIN_RESOLUTION)
     # numpy's min and max, unlike Python's, carry a NaN through
     return IntegrabilityVerdict(

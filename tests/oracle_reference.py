@@ -32,7 +32,7 @@ def charts(arr):
         log_s = (math.log(spacing.numerator) - math.log(spacing.denominator)
                  - math.log(2.0) * np.array(LEVELS, dtype=float))
         s = np.exp(log_s)[:, None]
-        alpha, beta = np.sqrt(1.0 - s), np.sqrt(s) * phase
+        alpha, beta = np.sqrt(1.0 - s), np.exp(0.5 * log_s)[:, None] * phase
         moduli = chart.moduli(alpha, beta)
         log_weight = -2.0 * sum(float(a) * np.log(moduli[i])
                                 for i, a in enumerate(arr.coeffs) if a)

@@ -25,6 +25,7 @@ from pshlab.arrangement import (
 )
 from pshlab.gaussian import GaussianRational
 from pshlab.multiplier_ideal import ideal_of, is_trivial
+from pshlab.polynomials import BivariatePolynomial
 
 THEOREM1 = preset("theorem1")
 
@@ -163,13 +164,23 @@ def test_hash_is_computed_once_and_keys_equal_arrangements(monkeypatch):
     assert calls == []
     hash(second)  # its first hash reads every line
     assert len(calls) == 3
-    # equal arrangements built apart share one cache entry; hopf_charts
-    # first, since integrability._charts reads it
-    for cache in (hopf_charts, integrability._charts):
+    # equal arrangements built apart, and an equal component reached from
+    # two different f, share one cache entry; hopf_charts first, since
+    # integrability._charts reads it, and _charts before _log_form
+    x, y = BivariatePolynomial.x(), BivariatePolynomial.y()
+    form, same = ((x * y + f).homogeneous_components()[0]
+                  for f in (x ** 3, y ** 5))
+    assert form == same and form is not same
+    for cache, key, equal_key in (
+            (hopf_charts, (first,), (second,)),
+            (integrability._charts, (first,), (second,)),
+            (integrability._log_form, (first, form), (second, same))):
         before = cache.cache_info()
-        assert cache(first) is cache(second)
+        assert cache(*key) is cache(*equal_key)
         after = cache.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+    with pytest.raises(ValueError):  # the cached grid is read-only
+        integrability._log_form(first, form)[0, 0, 0] = 0.0
 
 
 def test_json_round_trip(tmp_path):

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from oracle_reference import reference_estimate
 
+from pshlab import integrability
 from pshlab.arrangement import new_arrangement, preset
 from pshlab.gaussian import GaussianRational
 from pshlab.integrability import integrability_estimate
 from pshlab.multiplier_ideal import contains, ideal_of
 from pshlab.polynomials import BivariatePolynomial as P
+from pshlab.polynomials import HomogeneousForm
 from pshlab.polynomials import ZeroPolynomialError
 
 THEOREM1 = preset("theorem1")
@@ -165,6 +167,53 @@ def test_sweep_smoke():
     assert wrong == []
 
 
+def _close_lines(e: int):
+    """Lines x, x + 2^-e y and y of weight 1/2."""
+    return new_arrangement([(1, 0), (1, Fraction(1, 2 ** e)), (0, 1)],
+                           [Fraction(1, 2)] * 3)
+
+
+@pytest.mark.parametrize("e", [540, 1000])
+def test_close_line_points_are_decided(e):
+    # s = spacing 2^-k underflows to 0 for lines closer than about
+    # 2^-528, so beta is taken from log s; beta turns subnormal near 2^-1013
+    close = _close_lines(e)
+    for f in (P.one(), X * Y + Y ** 3, P.one() + X):
+        for c in (1, Fraction(3, 2)):
+            verdict = integrability_estimate(close, f, c)
+            assert all(math.isfinite(k) for k in verdict.line_margins)
+            assert not verdict.undecided
+            assert verdict.integrable == contains(close, ideal_of(close, c), f)
+            assert repr(verdict) == repr(reference_estimate(close, f, c))
+    margins = integrability_estimate(close, P.one(), 1).line_margins
+    assert margins == pytest.approx((0.5,) * 3, abs=1e-6)
+
+
+def test_c_scan_substitutes_each_component_once(monkeypatch):
+    # only c * log_weight depends on c: a scan over c substitutes each
+    # (component, chart) pair once, and every verdict stays bit-identical
+    # to the per-pair reference, from a cold cache, a warm one, and after
+    # more components than the cache holds have evicted it
+    f, scan = X * Y * (X + Y) + X ** 4 + Y ** 5, (1, Fraction(3, 2), 2, 3, 4)
+    calls = []
+    substitute = HomogeneousForm.substitute
+    monkeypatch.setattr(HomogeneousForm, "substitute", lambda form, *xy: (
+        calls.append(form) or substitute(form, *xy)))
+    want = [repr(reference_estimate(THEOREM1, f, c)) for c in scan]
+    for _ in range(2):
+        integrability._log_form.cache_clear()
+        calls.clear()
+        assert [repr(integrability_estimate(THEOREM1, f, c))
+                for c in scan] == want
+        assert len(calls) == 3 * len(THEOREM1.lines)
+    size = integrability._log_form.cache_info().maxsize
+    evict = [X ** k for k in range(size + 1)]
+    first = [repr(integrability_estimate(THEOREM1, g, 1)) for g in evict]
+    assert [repr(integrability_estimate(THEOREM1, g, 1)) for g in evict] == \
+        first == [repr(reference_estimate(THEOREM1, g, 1)) for g in evict]
+    assert [repr(integrability_estimate(THEOREM1, f, c)) for c in scan] == want
+
+
 def test_batched_margins_match_per_chart_reference():
     # the one broadcast pass performs the per-(component, chart) loop's
     # arithmetic in the same order, so every verdict is equal bit for bit;
@@ -175,15 +224,19 @@ def test_batched_margins_match_per_chart_reference():
               for c in (1, 2)]
     draw, sweep = random.Random("oracle-sweep:0"), _oracle_sweep()
     cases += [sweep.draw_case(draw) for _ in range(200)]
-    # non-finite margins: 10^300 underflows some scaled chart coefficients
-    # to 0.0, so the float order of vanishing exceeds the exact one; lines
-    # 2^-600 apart make s underflow to 0 on their charts
+    # 10^300 underflows some scaled chart coefficients to 0.0, so the
+    # float order of vanishing exceeds the exact one; its line points lie
+    # about 2^-997 apart, so s underflows there and beta comes from log s
     big = new_arrangement([(1, 0), (1, 10 ** 300), (0, 1)],
                           [Fraction(2, 3)] * 3)
-    close = new_arrangement([(1, 0), (1, Fraction(1, 2 ** 600)), (0, 1)],
-                            [Fraction(1, 2)] * 3)
-    odd = [(big, (X + 10 ** 300 * Y) ** 2 * (X + Y) + X ** 4, 1),
-           (close, P.one(), 1), (close, X * Y + Y ** 3, 1)]
+    f = (X + 10 ** 300 * Y) ** 2 * (X + Y) + X ** 4
+    assert integrability_estimate(big, f, 1).integrable
+    assert contains(big, ideal_of(big, 1), f)
+    cases.append((big, f, 1))
+    # non-finite margins: lines 2^-1100 apart make z underflow to 0 on
+    # their charts
+    close = _close_lines(1100)
+    odd = [(close, P.one(), 1), (close, X * Y + Y ** 3, 1)]
     for arr, f, c in odd:
         margins = integrability_estimate(arr, f, c).line_margins
         assert not all(math.isfinite(k) for k in margins)
@@ -193,11 +246,10 @@ def test_batched_margins_match_per_chart_reference():
 
 
 def test_nan_margins_reach_the_verdict(monkeypatch):
-    # lines 2^-540 apart: s underflows to 0 on their two charts, whose
+    # lines 2^-1100 apart: z underflows to 0 on their two charts, whose
     # margins are NaN; the resolution and each such line margin must say
     # so (Python's max and min skipped a NaN that did not come first)
-    close = new_arrangement([(1, 0), (1, Fraction(1, 2 ** 540)), (0, 1)],
-                            [Fraction(1, 2)] * 3)
+    close = _close_lines(1100)
     for f in (P.one(), P.one() + X):  # one and two components
         verdict = integrability_estimate(close, f, 1)
         assert math.isnan(verdict.resolution)
@@ -207,8 +259,6 @@ def test_nan_margins_reach_the_verdict(monkeypatch):
         assert verdict.undecided and not verdict.integrable
     # a NaN margin of the second component at one line point, the first
     # one finite there
-    from pshlab import integrability
-
     nan = math.nan
     monkeypatch.setattr(integrability, "_margins", lambda *args: (
         np.array([[0.5, 0.5, 0.5], [nan, 0.25, 1.5]]),
