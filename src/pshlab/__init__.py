@@ -96,62 +96,8 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_NUMERIC))
 
-__all__ = [
-    "ArrangementError",
-    "ArrangementMismatchError",
-    "BivariatePolynomial",
-    "ComparisonResult",
-    "DuplicateLineError",
-    "GaussianRational",
-    "GramResult",
-    "IdealDescriptor",
-    "IntegrabilityVerdict",
-    "Line",
-    "MonotonicityReport",
-    "NegativeCoefficientError",
-    "NonIntegrableExponentError",
-    "QuadratureSpec",
-    "Relation",
-    "SequenceEntry",
-    "SingularityClass",
-    "SubsequenceVerdict",
-    "VerificationReport",
-    "WeightedArrangement",
-    "ZeroFormError",
-    "ZeroPolynomialError",
-    "ZeroWeightError",
-    "adjacent_violations",
-    "admissible_basis",
-    "bergman_phi",
-    "boundedness_probe",
-    "build_sequence",
-    "check_subsequence",
-    "class_of_ideal",
-    "class_of_weight",
-    "compare",
-    "contains",
-    "curve_scan",
-    "diagonal_curve",
-    "entry",
-    "generator_strings",
-    "generators",
-    "gram_matrix",
-    "ideal_of",
-    "integrability_estimate",
-    "is_trivial",
-    "kernel_values",
-    "lct",
-    "lelong",
-    "lelong_estimate",
-    "load_arrangement",
-    "monotonicity_report",
-    "more_singular_or_equal",
-    "new_arrangement",
-    "pattern_violations",
-    "phi_value",
-    "preset",
-    "radial_factor",
-    "ray_curve",
-    "save_arrangement",
-    "verify_paper",
-]
+
+# the public names: those bound above and the lazy numeric ones
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_")
+                  and not isinstance(value, type(importlib))] + [*_NUMERIC])

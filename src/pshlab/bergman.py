@@ -46,7 +46,9 @@ SPHERE_AREA = 2.0 * math.pi ** 2  # |S^3|
 RANK_TOLERANCE = 1e-8
 # exp(t) is a finite normal float for t in this range
 _EXP_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
-# kernel points per pass of `_log_kernel`, a ray counting once per radius
+# kernel values per pass of `_log_kernel`, a ray counting once per radius;
+# a pass holds its monomial rows in one (top cofactor degree + 1) x
+# directions buffer
 _CHUNK = 1 << 13
 # Hopf rule per line chart: Gauss-Jacobi nodes near the line point,
 # Gauss-Legendre nodes per dyadic panel beyond it, trapezoid angles.  Fixed,
@@ -385,30 +387,6 @@ class GramResult(Record):
         }
 
 
-def _cofactor_blocks(common: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     t_lo: int, t_hi: int):
-    """Yield the rows of cofactor degree t = t_lo..t_hi, one (t+1) x n
-    block each: rows[i] = common * x^(t-i) * y^i.
-
-    Block t+1 is x * block t followed by y * (its last row): two products
-    per block, written alternately into two flat complex buffers of
-    (t_hi+1) * n entries.  A yielded block is overwritten two blocks later.
-    """
-    n = len(x)
-    cur, nxt = (np.empty((t_hi + 1) * n, dtype=np.complex128)
-                for _ in range(2))
-    rows = cur[:n].reshape(1, n)
-    rows[0] = common
-    for t in range(t_hi + 1):
-        if t >= t_lo:
-            yield rows
-        if t < t_hi:
-            grown = nxt[:(t + 2) * n].reshape(t + 2, n)
-            np.multiply(rows, x, out=grown[:t + 1])
-            np.multiply(rows[-1], y, out=grown[t + 1])
-            rows, cur, nxt = grown, nxt, cur
-
-
 def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
                 ) -> GramResult:
     """Gram matrix of the admissible basis, one degree block at a time,
@@ -539,19 +517,26 @@ def _log_kernel_chunk(result: GramResult, ux: np.ndarray, uy: np.ndarray,
     no power of r is formed, so high degrees neither underflow nor
     overflow.  A block of rank 0 reads log 0 = -inf.
     """
-    base = sum(result.line_powers)
     blocks = result.blocks
+    t_lo = blocks[0].degree - sum(result.line_powers)
     terms = np.empty((len(blocks), len(ux), log_r.shape[1]))
+    # rows[i] = x^(t-i) y^i of cofactor degree t, grown in place
+    rows = np.empty((t_lo + len(blocks), len(ux)), dtype=np.complex128)
+    rows[0] = 1.0
     with np.errstate(divide="ignore"):
         log_lines = np.full(len(ux), -result.log_scale)
         for line, power in zip(result._arr.lines, result.line_powers):
             if power:
                 log_lines += 2.0 * power * (np.log(line.modulus(ux, uy))
                                             + line.log_norm)
-        for term, block, rows in zip(terms, blocks, _cofactor_blocks(
-                np.ones(len(ux)), ux, uy, blocks[0].degree - base,
-                blocks[-1].degree - base)):
-            sigma = block.transform.T @ rows
+        for t in range(len(rows)):
+            if t:  # row t is row t-1 times y, then rows 0..t-1 times x
+                np.multiply(rows[t - 1], uy, out=rows[t])
+                rows[:t] *= ux
+            if t < t_lo:
+                continue
+            block, term = blocks[t - t_lo], terms[t - t_lo]
+            sigma = block.transform.T @ rows[:t + 1]
             term[:] = np.log(np.sum(sigma.real ** 2 + sigma.imag ** 2,
                                     axis=0))[:, None]
             if block.degree:  # 0 * log r would be NaN at r = 0
@@ -580,16 +565,12 @@ def kernel_values(result: GramResult, x, y) -> np.ndarray:
     return np.exp(_log_kernel_on_points(result, x, y))
 
 
-def _phi_on_points(result: GramResult, x, y) -> np.ndarray:
-    return _log_kernel_on_points(result, x, y) / (2.0 * result.m)
-
-
 def bergman_phi(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                 point: tuple[complex, complex], *,
                 gram: GramResult | None = None) -> float:
     """Truncated approximation weight (1/2m) log sum |sigma_l(z)|^2."""
     result = gram if gram is not None else gram_matrix(arr, m, quad)
-    return float(_phi_on_points(result, *point))
+    return float(_log_kernel_on_points(result, *point) / (2.0 * result.m))
 
 
 class RaySlopes(Record):
@@ -676,7 +657,8 @@ def curve_scan(arr: WeightedArrangement, m1: int, m2: int,
     x, y = curve(t)
     grams = tuple(g if g is not None else gram_matrix(arr, m, quad)
                   for m, g in ((m1, gram1), (m2, gram2)))
-    phi1, phi2 = (_phi_on_points(g, x, y) for g in grams)
+    phi1, phi2 = (_log_kernel_on_points(g, x, y) / (2.0 * g.m)
+                  for g in grams)
     # on a curve inside a line both phi are -inf: the slope is NaN, quietly
     with np.errstate(invalid="ignore"):
         slope = float(_slopes(np.log(t), phi2 - phi1))

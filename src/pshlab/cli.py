@@ -232,6 +232,7 @@ def _cmd_analyze(args) -> int:
         ms = list(range(1, args.m_max + 1))
     else:
         ms = args.m if args.m else [1]
+        _check_index_cost(len(ms), max(m.bit_length() for m in ms))
     if any(m < 1 for m in ms):
         raise UsageError("approximation indices must be >= 1")
     entries = _entries(arr, ms)
@@ -267,8 +268,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _check_index_cost(count: int, top_bits: int) -> None:
-    """Refuse an index family (or an --m-max range) by its size, before
-    any index is built."""
+    """Refuse an index family, an --m-max range or a single index by its
+    size, before any entry is built."""
     if count > MAX_INDICES:
         raise UsageError(f"{count} indices exceed the cap of {MAX_INDICES}")
     if top_bits > MAX_RATIONAL_BITS:
@@ -342,6 +343,7 @@ def _cmd_compare(args) -> int:
     arr = _resolve_arrangement(args)
     if args.m1 < 1 or args.m2 < 1:
         raise UsageError("indices must be >= 1")
+    _check_index_cost(2, max(args.m1, args.m2).bit_length())
     e1, e2 = entry(arr, args.m1), entry(arr, args.m2)
     result = compare(e1.cls, e2.cls)
 
@@ -478,6 +480,7 @@ def _bergman_scan(args, arr: WeightedArrangement, quad) -> int:
 
     if min(args.m1, args.m2) < 1:
         raise UsageError("indices must be >= 1")
+    _check_index_cost(2, max(args.m1, args.m2).bit_length())
     if not (0 < args.tmin < args.tmax):
         raise UsageError("need 0 < tmin < tmax")
     if args.tmin < sys.float_info.min or not math.isfinite(args.tmax):
@@ -520,6 +523,7 @@ def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
 
     if args.m < 1:
         raise UsageError("--m must be >= 1")
+    _check_index_cost(1, args.m.bit_length())
     if not 1 <= args.rays <= MAX_INDICES:
         raise UsageError(f"need 1 <= --rays <= {MAX_INDICES}")
     if args.audit_gram and args.format != "json":

@@ -13,7 +13,8 @@ noise of `gram_matrix`.  `direct_kernel` likewise checks the log-space
 kernel of `kernel_values` against the plain sum over the basis values.
 Direct evaluation overflows for large m; use these at small m only.
 `per_block_grams` sums every degree block over the Hopf nodes on its own,
-node by node, as one row product per block and node chunk.  It rebuilds
+node by node, as one row product per block and node chunk, its rows the
+direct powers x^(t-i) y^i, with no row code shared with pshlab.  It rebuilds
 the flat nodes x = sqrt(1-s) p + sqrt(s) e^{i phi} n and their common
 factors sqrt(c^2) from each chart's cached grid, where `gram_matrix` sums
 only the top block, chart by chart from the angular spectrum of c^2, and
@@ -138,11 +139,13 @@ def per_block_grams(arr, result):
     x, y, common = hopf_nodes(arr, result)
     degrees = [block.degree - base for block in result.blocks]
     sums = [np.zeros((t + 1, t + 1), dtype=np.complex128) for t in degrees]
+    k = np.arange(degrees[-1] + 1)[:, None]
     for start in range(0, len(x), CHUNK):
         chunk = slice(start, start + CHUNK)
-        for rows, s_sum in zip(bergman._cofactor_blocks(
-                common[chunk], x[chunk], y[chunk], degrees[0], degrees[-1]),
-                sums):
+        # the direct powers x^k and y^k; row i of block t is x^(t-i) y^i
+        xk, yk = x[chunk] ** k, y[chunk] ** k
+        for t, s_sum in zip(degrees, sums):
+            rows = common[chunk] * xk[t::-1] * yk[:t + 1]
             s_sum += rows @ np.conjugate(rows).T
     s_hom = 2 * result.m * arr.total_mass
     grams = []

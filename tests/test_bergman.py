@@ -356,19 +356,19 @@ def test_kernel_chunks_match_one_pass(arr, monkeypatch):
     u = np.array(generic_rays(arr, 8, quad.seed))
     rows = bergman._log_kernel_chunk(grams[1], u[:, 0], u[:, 1],
                                      np.log(r)[None, :]) / 2.0
-    points = np.array([bergman._phi_on_points(grams[1], r * v[0], r * v[1])
+    points = np.array([bergman._log_kernel_on_points(grams[1], r * v[0],
+                                                     r * v[1]) / 2.0
                        for v in u])
     assert one_pass[0] == bergman._slopes(np.log(r), rows).tolist()
     widths = []
-    real_blocks = bergman._cofactor_blocks
+    real_chunk = bergman._log_kernel_chunk
 
-    def recorded(*args):
-        for rows in real_blocks(*args):
-            widths.append(rows.shape[1])
-            yield rows
+    def recorded(result, ux, *args):
+        widths.append(len(ux))
+        return real_chunk(result, ux, *args)
 
     monkeypatch.setattr(bergman, "_CHUNK", 10)
-    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    monkeypatch.setattr(bergman, "_log_kernel_chunk", recorded)
     chunked = report()
     assert max(widths) == 10 and min(widths) < 10
     np.testing.assert_array_max_ulp(rows, points, maxulp=4)
@@ -408,13 +408,13 @@ def test_ray_slopes_read_each_direction_once(monkeypatch):
     # most _CHUNK // 25 per pass
     gram = gram_matrix(THEOREM1, 1, QUAD)
     columns = []
-    real_blocks = bergman._cofactor_blocks
+    real_chunk = bergman._log_kernel_chunk
 
-    def recorded(common, x, y, *args):
-        columns.append(len(x))
-        return real_blocks(common, x, y, *args)
+    def recorded(result, ux, *args):
+        columns.append(len(ux))
+        return real_chunk(result, ux, *args)
 
-    monkeypatch.setattr(bergman, "_cofactor_blocks", recorded)
+    monkeypatch.setattr(bergman, "_log_kernel_chunk", recorded)
     step = bergman._CHUNK // 25
     for rays in (1, 8, 400, step + 1):
         columns.clear()
@@ -427,14 +427,54 @@ def test_ray_slopes_read_each_direction_once(monkeypatch):
     log_r = np.log(np.geomspace(*bergman.SLOPE_WINDOW))
     u = np.array(generic_rays(THEOREM1, step + 1, QUAD.seed))
     rows = np.concatenate([
-        bergman._log_kernel_chunk(gram, part[:, 0], part[:, 1],
-                                  log_r[None, :])
+        real_chunk(gram, part[:, 0], part[:, 1], log_r[None, :])
         for part in (u[:step], u[step:])]) / 2.0
     assert est.per_ray == bergman._slopes(log_r, rows).tolist()
     # the loop that rays and points share takes no pass over no points
     columns.clear()
     assert kernel_values(gram, np.array([]), np.array([])).shape == (0,)
     assert columns == []
+
+
+def _direct_log_kernel(result, ux, uy, log_r):
+    """log K(r u) as `_log_kernel_chunk` defines it, with the rows of each
+    block taken as the direct powers x^(t-i) y^i."""
+    base = sum(result.line_powers)
+    log_lines = np.full(len(ux), -result.log_scale)
+    for line, power in zip(result._arr.lines, result.line_powers):
+        if power:
+            log_lines += 2.0 * power * (np.log(line.modulus(ux, uy))
+                                        + line.log_norm)
+    terms = []
+    for block in result.blocks:
+        i = np.arange(block.degree - base + 1)[:, None]
+        sigma = block.transform.T @ (ux ** (block.degree - base - i)
+                                     * uy ** i)
+        terms.append(np.log(np.sum(np.abs(sigma) ** 2, axis=0))[:, None]
+                     + 2.0 * block.degree * log_r)
+    top = np.max(terms, axis=0)
+    return log_lines[:, None] + top + np.log(np.sum(np.exp(terms - top),
+                                                    axis=0))
+
+
+def test_kernel_rows_match_direct_powers():
+    # the kernel grows the monomial rows of each pass in place from degree
+    # 0, past the degrees below the lowest block (t_lo = 1 here) up to
+    # cofactor degree 47: at rays (one shared row of radii) and at points
+    # (one radius each) it matches the block kernels of direct powers
+    gram = gram_matrix(THEOREM1, 1, QuadratureSpec(47, 10_000, 42))
+    base = sum(gram.line_powers)
+    assert gram.blocks[0].degree - base > 0
+    assert gram.blocks[-1].degree - base == 47
+    u = np.array(generic_rays(THEOREM1, 50, 7))
+    rng = np.random.default_rng(3)
+    log_r = np.log(np.geomspace(*bergman.SLOPE_WINDOW))
+    for log_radii in (log_r[None, :],
+                      rng.uniform(log_r[0], log_r[-1], (len(u), 1))):
+        np.testing.assert_array_max_ulp(
+            bergman._log_kernel_chunk(gram, u[:, 0], u[:, 1], log_radii),
+            _direct_log_kernel(gram, u[:, 0], u[:, 1], log_radii),
+            maxulp=4)
 
 
 def test_bergman_phi_bounded_without_singularity():
@@ -603,18 +643,12 @@ def test_hopf_converged(arr, m, degree, monkeypatch):
         "theorem1-m1-top", "close-m1-top",
         *(f"{pair}-k{k}" for pair in ("toric", "x-x3y") for k in (2, 6, 9)),
         "huge-line", "trivial", "x-top", "huge-norm-top", "gaussian-top"])
-def test_gram_blocks_match_per_block_sums(arr, m, degree, monkeypatch):
+def test_gram_blocks_match_per_block_sums(arr, m, degree):
     # gram_matrix sums only the top block, chart by chart from the angular
-    # spectrum, with no row product over the nodes, and takes each lower
-    # block from the one above by |x|^2 + |y|^2 = 1: every block matches
-    # the blocks summed one by one over the nodes to 1e-13 of
-    # sqrt(G_ii G_jj), also after 47 steps down
-    def no_rows(*args):
-        raise AssertionError("node-level row product")
-
-    monkeypatch.setattr(bergman, "_cofactor_blocks", no_rows)
+    # spectrum, and takes each lower block from the one above by
+    # |x|^2 + |y|^2 = 1: every block matches the blocks summed one by one
+    # over the nodes to 1e-13 of sqrt(G_ii G_jj), also after 47 steps down
     result = gram_matrix(arr, m, QuadratureSpec(degree, 10_000, 1))
-    monkeypatch.undo()
     reference = per_block_grams(arr, result)
     assert len(reference) == len(result.blocks) > 1
     for block, gram in zip(result.blocks, reference):

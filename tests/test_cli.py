@@ -511,22 +511,47 @@ def test_sequence_empty_index_family_exits_2(flags, reason, capsys):
     ("sequence", ["--indices", "3," + str(2 ** 1200)], "bits"),
     ("sequence", ["--m-max", "300000"], "indices exceed"),
     ("analyze", ["--m-max", "300000"], "indices exceed"),
+    ("analyze", ["--m", str(2 ** 1200)], "bits"),
+    ("compare", ["--m1", str(2 ** 1200), "--m2", "3"], "bits"),
+    ("bergman", ["--m", str(2 ** 1200)], "bits"),
+    ("bergman", ["--m1", str(2 ** 1200), "--m2", "1"], "bits"),
 ], ids=["pow2-bits", "3k+2-count", "list-bits", "sequence-m-max",
-        "analyze-m-max"])
+        "analyze-m-max", "analyze-m-bits", "compare-bits", "bergman-m-bits",
+        "bergman-scan-bits"])
 def test_sequence_index_family_cost_guard(command, flags, reason, capsys,
                                           monkeypatch):
-    # refused from the family's size before any index or entry is built
-    from pshlab import cli
+    # refused from the family's size, or a single index from its bits,
+    # before any index, entry or Gram is built
+    from pshlab import bergman, cli
 
     def no_entries(*args, **kwargs):
         raise AssertionError("entries built")
 
     monkeypatch.setattr(cli, "entry", no_entries)
+    monkeypatch.setattr(cli, "_entries", no_entries)
     monkeypatch.setattr(cli, "monotonicity_report", no_entries)
+    monkeypatch.setattr(bergman, "gram_matrix", no_entries)
     rc = main([command, "--preset", "theorem1", *flags])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error:") and reason in err
+
+
+def test_huge_single_index_exits_2(tmp_path):
+    # weight 2^999/3 times an index of 4,201 digits printed past the
+    # int-to-str digit limit: compare and analyze ended in a ValueError
+    # traceback and exit 1.  A single index is capped like --indices
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({
+        "lines": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+        "coeffs": [f"{2 ** 999}/3", "1/2"]}), encoding="utf-8")
+    m = str(10 ** 4200)
+    for args in (["compare", "--m1", m, "--m2", "3"], ["analyze", "--m", m],
+                 ["analyze", "--m", m, "--format", "csv"]):
+        proc = run_cli([*args, "--file", str(path)], timeout=60)
+        assert proc.returncode == 2 and proc.stdout == "", args
+        assert proc.stderr.startswith("error:") and "bits" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 HUGE_LINE = {

@@ -9,7 +9,7 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter with ``--no-timestamp``, and their standard output
 and exit codes are compared byte for byte:
 
-- 31 commands in each of the formats json, csv and md (93 pairs): ``lct``,
+- 34 commands in each of the formats json, csv and md (102 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y, a ray and
@@ -17,20 +17,24 @@ and exit codes are compared byte for byte:
   slopes with ``--audit-gram`` and over 64 rays, and ray slopes at m = 8
   and the scan (4, 8), where the default cutoff 12 admits nothing at
   m = 8 and is raised to 19), on presets, on a three-line file
-  arrangement with a Gaussian-rational line (also ray slopes at cutoff 47,
-  the top cofactor degree the Hopf rule takes) and on three files with huge
+  arrangement with a Gaussian-rational line (also ray slopes and a scan of
+  2,000 points at cutoff 47, the top cofactor degree the Hopf rule takes)
+  and on three files with huge
   coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
   ``--audit-gram`` at m = 1 on x, x + 2^1998 y with weight 99/100, whose
   Gram scale leaves the float range; ``sequence`` (``--m-max 200`` and
   ``--indices pow2``), ``compare`` and ``analyze --m 1 3`` on lines x, y
   and x + y whose weights and point mass have denominators of about 1000
-  bits, the file limit.  A format a command does not have must fail the
-  same way on both sides;
+  bits, the file limit; ``compare`` and ``analyze`` at an index of 4,201
+  digits on lines x, y with weights 2^999/3 and 1/2, refused since single
+  indices are capped at 1,000 bits (exit 2; a checkout without the cap
+  exits 1 with a traceback, so these cases differ from one).  A format a
+  command does not have must fail the same way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (99 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (108 cases in all).
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
@@ -93,6 +97,12 @@ BIG_WEIGHTS = {
 # x + 2^1998 y with weight 99/100: log_scale -2742 at m = 1, beyond the
 # float range of the dense Gram views (audited only, at m = 1)
 EXTREME_SCALE = {**HUGE_FILES["HUGE_NORM"], "coeffs": ["1/2", "99/100"]}
+# weight 2^999/3 on x: times an index of 4,201 digits, a class exponent
+# prints beyond Python's int-to-str digit limit unless the index is refused
+HUGE_INDEX_WEIGHTS = {"lines": [[["1", "0"], ["0", "0"]],
+                                [["0", "0"], ["1", "0"]]],
+                      "coeffs": [f"{2 ** 999}/3", "1/2"]}
+HUGE_INDEX = str(10 ** 4200)
 
 
 # a decimal or float literal, or a non-finite float as json or Python
@@ -135,9 +145,11 @@ def numeric_report(before: bytes, after: bytes) -> str:
 
 
 def cases(arrangement_file: str, huge_files: list[str],
-          extreme_file: str, big_weights_file: str) -> list[list[str]]:
+          extreme_file: str, big_weights_file: str,
+          huge_index_file: str) -> list[list[str]]:
     f = ["--file", arrangement_file]
     big = ["--file", big_weights_file]
+    index = ["--file", huge_index_file]
     t = ["--preset", "theorem1"]
     fast = ["--samples", "10000", "--points", "9"]
     commands = [
@@ -158,6 +170,8 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["sequence", *big, "--indices", "pow2"],
         ["compare", *big, "--m1", "4", "--m2", "3"],
         ["analyze", *big, "--m", "1", "3"],
+        ["compare", *index, "--m1", HUGE_INDEX, "--m2", "3"],
+        ["analyze", *index, "--m", HUGE_INDEX],
         ["bergman", *t, "--m1", "3", "--m2", "4", "--curve", "x=y", *fast],
         ["bergman", *t, "--m1", "3", "--m2", "5", "--curve",
          "dir:0.6,0.1,0.3,-0.7", *fast],
@@ -168,6 +182,8 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["bergman", *t, "--m", "1", "--rays", "64"],
         ["bergman", *f, "--m", "2", "--rays", "64"],
         ["bergman", *f, "--m", "1", "--max-degree", "47", "--rays", "4"],
+        ["bergman", *f, "--m1", "1", "--m2", "2", "--max-degree", "47",
+         "--points", "2000"],
         ["bergman", *t, "--m", "8", "--rays", "3"],
         ["bergman", *t, "--m1", "4", "--m2", "8", "--points", "9"],
     ] + [["bergman", "--file", huge, "--m", "2", "--rays", "3",
@@ -201,14 +217,17 @@ def main(argv: list[str]) -> int:
         path.write_text(json.dumps(FILE_ARRANGEMENT), encoding="utf-8")
         huge = {}
         for name, data in {**HUGE_FILES, "EXTREME_SCALE": EXTREME_SCALE,
-                           "BIG_WEIGHTS": BIG_WEIGHTS}.items():
+                           "BIG_WEIGHTS": BIG_WEIGHTS,
+                           "HUGE_INDEX_WEIGHTS": HUGE_INDEX_WEIGHTS}.items():
             huge[name] = Path(tmp) / f"{name.lower()}.json"
             huge[name].write_text(json.dumps(data), encoding="utf-8")
         all_cases = cases(str(path), [str(huge[name]) for name in HUGE_FILES],
-                          str(huge["EXTREME_SCALE"]), str(huge["BIG_WEIGHTS"]))
+                          str(huge["EXTREME_SCALE"]), str(huge["BIG_WEIGHTS"]),
+                          str(huge["HUGE_INDEX_WEIGHTS"]))
         for argv_ in all_cases:
             label = " ".join(argv_[2:] if argv_[0] == "-m" else argv_)
             label = label.replace(str(path), "FILE").replace(str(ROOT), ".")
+            label = label.replace(HUGE_INDEX, "10^4200")
             for name, file in huge.items():
                 label = label.replace(str(file), name)
             before, after = run(parent_src, argv_), run(ROOT / "src", argv_)
