@@ -7,6 +7,7 @@ bases of weighted Bergman spaces and cross-checks slopes and memberships.
 """
 
 import importlib
+import sys
 
 from .arrangement import (
     ArrangementError,
@@ -88,8 +89,10 @@ def __getattr__(name: str):
     if name not in _NUMERIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # Not cached here: the submodule's own binding stays the one source,
-    # so anything that rebinds it (a monkeypatch, a tracer) is seen.
-    return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__),
+    # so anything that rebinds it (a monkeypatch, a tracer) is seen.  Only
+    # the first access imports; later ones look the submodule up.
+    module = f"{__name__}.{_NUMERIC[name]}"
+    return getattr(sys.modules.get(module) or importlib.import_module(module),
                    name)
 
 

@@ -77,7 +77,10 @@ def _entry_csv_row(ent: SequenceEntry) -> list[str]:
             str(ent.ideal.p), *_exponents(ent, md=False)]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, holding the arguments of `command`
+    alone when it names one (the top-level help lists only the help lines)
+    and every subcommand's arguments otherwise."""
     parser = argparse.ArgumentParser(
         prog="pshlab",
         description=(
@@ -88,58 +91,66 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, add_arguments, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+    return parser
 
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preset", default=None,
-                       help="built-in arrangement: theorem1, smooth, point")
-        p.add_argument("--file", default=None, metavar="JSON",
-                       help="arrangement file (see README for the schema)")
 
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["json", "csv", "md"],
-                       default="json")
-        p.add_argument("--output", default=None, metavar="PATH",
-                       help="write the report here instead of stdout")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the generated_at field from JSON reports")
+def _add_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", default=None,
+                   help="built-in arrangement: theorem1, smooth, point")
+    p.add_argument("--file", default=None, metavar="JSON",
+                   help="arrangement file (see README for the schema)")
 
-    p = sub.add_parser("analyze",
-                       help="ideal, generators, class and Lelong number per m")
-    add_source(p)
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=["json", "csv", "md"],
+                   default="json")
+    p.add_argument("--output", default=None, metavar="PATH",
+                   help="write the report here instead of stdout")
+    p.add_argument("--no-timestamp", action="store_true",
+                   help="omit the generated_at field from JSON reports")
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
     p.add_argument("--m", type=int, nargs="+", default=None)
     p.add_argument("--m-max", type=int, default=None)
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("sequence",
-                       help="monotonicity report for m = 1..m_max or a subsequence")
-    add_source(p)
+
+def _sequence_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--indices", default=None,
                    help="pow2 | 3k+2 | comma list, checked as a subsequence")
     p.add_argument("--k-max", type=int, default=10,
                    help="range of k for pow2 / 3k+2 index families")
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("compare",
-                       help="compare the classes of two sequence entries")
-    add_source(p)
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("lct", help="log canonical threshold")
-    add_source(p)
-    add_output(p)
 
-    p = sub.add_parser("verify-paper",
-                       help="run the reproduction claim registry")
+def _lct_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    _add_output(p)
+
+
+def _verify_paper_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--claims", nargs="+", default=None,
                    help="claim ids or aliases; default runs all")
-    add_output(p)
+    _add_output(p)
 
-    p = sub.add_parser("bergman",
-                       help="numeric kernel reports: gram audit, ray slopes, scans")
-    add_source(p)
+
+def _bergman_arguments(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
     p.add_argument("--m", type=int, default=None,
                    help="single index: ray-slope estimate (with --rays)")
     p.add_argument("--m1", type=int, default=None)
@@ -164,9 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit-gram", action="store_true", default=None,
                    help="add the Gram the slopes read to the report "
                         "(--format json only)")
-    add_output(p)
-
-    return parser
+    _add_output(p)
 
 
 def _resolve_arrangement(args) -> WeightedArrangement:
@@ -556,25 +565,35 @@ def _bergman_rays(args, arr: WeightedArrangement, quad) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "sequence": _cmd_sequence,
-    "compare": _cmd_compare,
-    "lct": _cmd_lct,
-    "verify-paper": _cmd_verify_paper,
-    "bergman": _cmd_bergman,
+# each subcommand: its handler, the builder of its arguments, its help line
+_COMMANDS = {
+    "analyze": (_cmd_analyze, _analyze_arguments,
+                "ideal, generators, class and Lelong number per m"),
+    "sequence": (_cmd_sequence, _sequence_arguments,
+                 "monotonicity report for m = 1..m_max or a subsequence"),
+    "compare": (_cmd_compare, _compare_arguments,
+                "compare the classes of two sequence entries"),
+    "lct": (_cmd_lct, _lct_arguments, "log canonical threshold"),
+    "verify-paper": (_cmd_verify_paper, _verify_paper_arguments,
+                     "run the reproduction claim registry"),
+    "bergman": (_cmd_bergman, _bergman_arguments,
+                "numeric kernel reports: gram audit, ray slopes, scans"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run needs the arguments of the subcommand it names, which argparse
+    # reads from the first token; --help, --version and an unknown
+    # subcommand get every subcommand's
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, ArrangementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,10 +56,11 @@ class IntegrabilityVerdict(NamedTuple):
 @functools.lru_cache(maxsize=16)
 def _charts(arr: WeightedArrangement) -> tuple:
     """What every component and every multiple c share, stacked over the
-    line points and built once per arrangement: log s at LEVELS (chart x
-    level); log alpha, z = beta / alpha, log|z| and the weight's log per
-    unit of c, sum_i -2 a_i log|ell_i(q)|, on the (chart, level, angle)
-    grid; the chart coordinates as linear forms in (alpha, beta).  beta
+    line points and built once per arrangement: the level step, the
+    change of log s between consecutive LEVELS (chart x level - 1); log
+    alpha, z = beta / alpha, log|z| and the weight's log per unit of c,
+    sum_i -2 a_i log|ell_i(q)|, on the (chart, level, angle) grid; the
+    chart coordinates as linear forms in (alpha, beta).  beta
     comes from log s, since s underflows for line points closer than
     about 2^-528; beta is subnormal below about 2^-1013 (undecided from
     about 2^-1055) and 0 below about 2^-1066 (NaN margins).
@@ -81,7 +83,8 @@ def _charts(arr: WeightedArrangement) -> tuple:
     log_weight = -2.0 * sum(float(a) * np.log(moduli[:, i])
                             for i, a in enumerate(arr.coeffs) if a)
     z = beta / alpha
-    return (log_s, 0.5 * np.log1p(-s), z, np.log(np.abs(z)), log_weight,
+    return (np.diff(log_s), 0.5 * np.log1p(-s), z, np.log(np.abs(z)),
+            log_weight,
             tuple((chart.chart_x, chart.chart_y) for chart in charts))
 
 
@@ -118,12 +121,14 @@ def _margins(arr: WeightedArrangement, components: list[HomogeneousForm],
     angle): each component's `_log_form` plus c times the weight, the
     slopes of the log angular mean between levels (s quartered at each
     step), then Richardson's (4 next - previous) / 3."""
-    log_s, *_, log_weight, _ = _charts(arr)
+    step, *_, log_weight, _ = _charts(arr)
     log_g = (np.stack([_log_form(arr, form) for form in components])
              + c * log_weight)
-    top = log_g.max(axis=-1, keepdims=True)
-    log_mean = top[..., 0] + np.log(np.mean(np.exp(log_g - top), axis=-1))
-    slopes = np.diff(log_mean) / np.diff(log_s)
+    top = np.maximum.reduce(log_g, axis=-1, keepdims=True)
+    # np.mean's sum and division, without its Python-level wrapper
+    log_mean = top[..., 0] + np.log(
+        np.add.reduce(np.exp(log_g - top), axis=-1) / ANGLES)
+    slopes = (log_mean[..., 1:] - log_mean[..., :-1]) / step
     richardson = (4.0 * slopes[..., 1:] - slopes[..., :-1]) / 3.0
     return (richardson[..., -1] + 1.0,
             abs(richardson[..., -1] - richardson[..., -2]))
@@ -137,18 +142,24 @@ def integrability_estimate(arr: WeightedArrangement, f: BivariatePolynomial,
     c = to_fraction(c)
     if c < 0:
         raise ValueError("weight multiple c must be nonnegative")
+    try:
+        c_float = float(c)
+    except OverflowError:
+        raise ValueError(f"weight multiple c must lie in the float range, "
+                         f"at most {sys.float_info.max!r}") from None
     components = f.homogeneous_components()
     radial = min(form.degree for form in components) + 2 - c * arr.total_mass
     # a log of 0 (a chart grid point on a zero) yields a non-finite margin,
     # which fails every comparison below: divergent and undecided
     with np.errstate(divide="ignore", invalid="ignore"):
-        kappa, spread = _margins(arr, components, float(c))
+        kappa, spread = _margins(arr, components, c_float)
     tol = np.maximum(20.0 * spread, MIN_RESOLUTION)
     # numpy's min and max, unlike Python's, carry a NaN through
     return IntegrabilityVerdict(
-        integrable=radial > 0 and bool(np.all(kappa > tol)),
+        integrable=radial > 0 and bool((kappa > tol).all()),
         radial_margin=radial,
-        line_margins=tuple(kappa.min(axis=0).tolist()),
-        resolution=float(tol.max(initial=MIN_RESOLUTION)),
-        undecided=not np.all(spread <= MAX_SPREAD),
+        line_margins=tuple(np.minimum.reduce(kappa, axis=0).tolist()),
+        resolution=float(np.maximum.reduce(tol, axis=None,
+                                           initial=MIN_RESOLUTION)),
+        undecided=not (spread <= MAX_SPREAD).all(),
     )

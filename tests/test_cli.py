@@ -344,6 +344,24 @@ def test_usage_requires_m_flags():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "sequence", "compare", "lct",
+                                     "verify-paper", "bergman"])
+def test_one_command_parser_matches_the_full_parser(command, capsys):
+    # main adds the arguments of the subcommand it runs alone; its help and
+    # its parse must be those of the parser holding every subcommand's
+    from pshlab import cli
+
+    assert main([command, "--help"]) == 0
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([command, "--help"])
+    assert capsys.readouterr() == alone
+    argv = [command, *(["--m1", "4", "--m2", "3"] if command == "compare"
+                       else [])]
+    assert cli._build_parser(command).parse_args(argv) == \
+        cli._build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("flags", [
     # y = 0 is a line of theorem1: phi_hat is -inf all along it; the NaN
     # slope must come back without a numpy warning
@@ -679,6 +697,22 @@ def test_exact_paths_do_not_import_numpy():
                     if line.startswith("import time:")}
         assert "pshlab.cli" in imported
         assert "numpy" not in imported, args
+
+
+def test_lazy_names_read_the_submodule_binding(monkeypatch):
+    # a lazy name is looked up in its imported submodule on every access,
+    # so a monkeypatch (or a tracer) is seen, and so is its undoing
+    import pshlab
+    from pshlab import bergman, integrability
+
+    for module, name in ((integrability, "integrability_estimate"),
+                         (bergman, "gram_matrix")):
+        original = getattr(module, name)
+        assert getattr(pshlab, name) is original
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, stub := object())
+            assert getattr(pshlab, name) is stub
+        assert getattr(pshlab, name) is original
 
 
 def _rows_from_json(text):

@@ -76,6 +76,8 @@ def test_input_validation():
         integrability_estimate(THEOREM1, P.zero(), 1)
     with pytest.raises(ValueError):
         integrability_estimate(THEOREM1, P.one(), -1)
+    with pytest.raises(ValueError, match="float range"):
+        integrability_estimate(THEOREM1, P.one(), Fraction(10 ** 400))
 
 
 def test_nan_fault_case_is_decided():
@@ -222,6 +224,9 @@ def test_batched_margins_match_per_chart_reference():
              for c in (1, Fraction(3, 2), 2, 3)]
     cases += [(preset("point"), f, c) for f in (P.one(), X + Y ** 2)
               for c in (1, 2)]
+    # every weight 0: the weight's log is the scalar -0.0, not a grid
+    weightless = new_arrangement([(1, 0), (0, 1), (1, 1)], [0, 0, 0])
+    cases += [(weightless, X * Y + Y ** 3, c) for c in (0, 1)]
     draw, sweep = random.Random("oracle-sweep:0"), _oracle_sweep()
     cases += [sweep.draw_case(draw) for _ in range(200)]
     # 10^300 underflows some scaled chart coefficients to 0.0, so the

@@ -6,8 +6,8 @@
 PARENT_SRC is the ``src`` directory of the checkout to compare against
 (for example an exported parent commit).  Every command below runs once
 with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
-in a fresh interpreter with ``--no-timestamp``, and their standard output
-and exit codes are compared byte for byte:
+in a fresh interpreter, report commands with ``--no-timestamp``, and their
+standard output, standard error and exit codes are compared byte for byte:
 
 - 34 commands in each of the formats json, csv and md (102 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
@@ -32,9 +32,12 @@ and exit codes are compared byte for byte:
   exits 1 with a traceback, so these cases differ from one).  A format a
   command does not have must fail the same way on both sides;
 - ``sequence --preset theorem1 --m-max 3000`` in the three formats;
+- the parser's own output: ``--help``, ``--version``, ``sequence --help``,
+  ``bergman --help`` and an unknown subcommand (exit 2, usage on standard
+  error);
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (108 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (113 cases in all).
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
@@ -193,15 +196,18 @@ def cases(arrangement_file: str, huge_files: list[str],
     out = [[*cmd, "--format", fmt] for cmd in commands for fmt in FORMATS]
     out += [["sequence", *t, "--m-max", "3000", "--format", fmt]
             for fmt in FORMATS]
+    parser = [["--help"], ["--version"], ["sequence", "--help"],
+              ["bergman", "--help"], ["frobnicate"]]
     return [["-m", "pshlab", *cmd, "--no-timestamp"] for cmd in out] + [
+        ["-m", "pshlab", *cmd] for cmd in parser] + [
         [str(ROOT / "demos" / demo)] for demo in DEMOS]
 
 
-def run(src: Path, argv: list[str]) -> tuple[int, bytes]:
+def run(src: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
                           capture_output=True, timeout=600)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def main(argv: list[str]) -> int:
@@ -237,12 +243,13 @@ def main(argv: list[str]) -> int:
             differences += 1
             print(f"DIFF  exit {before[0]} -> {after[0]}  {label}")
             print(f"      {numeric_report(before[1], after[1])}")
-            diff = difflib.unified_diff(
-                before[1].decode(errors="replace").splitlines(),
-                after[1].decode(errors="replace").splitlines(),
-                "parent", "this checkout", lineterm="", n=1)
-            for line in list(diff)[:20]:
-                print(f"      {line}")
+            for stream in (1, 2):
+                diff = difflib.unified_diff(
+                    before[stream].decode(errors="replace").splitlines(),
+                    after[stream].decode(errors="replace").splitlines(),
+                    "parent", "this checkout", lineterm="", n=1)
+                for line in list(diff)[:20]:
+                    print(f"      {line}")
     print(f"{differences} of {len(all_cases)} cases differ")
     return 1 if differences else 0
 
