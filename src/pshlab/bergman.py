@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -135,8 +137,8 @@ def radial_factor(d_total: int, s) -> float:
     The exponent ((d_total + 4) den - num) / den is rounded once by int /
     int division, as `Fraction` rounds it, with no Fraction arithmetic.
     """
-    num, den = ((s, 1) if isinstance(s, int)
-                else Fraction(s).as_integer_ratio())
+    num, den = ((s.numerator, s.denominator)
+                if isinstance(s, numbers.Rational) else s.as_integer_ratio())
     power = (d_total + 4) * den - num
     if power <= 0:
         raise NonIntegrableExponentError(
@@ -436,8 +438,10 @@ def gram_matrix(arr: WeightedArrangement, m: int, quad: QuadratureSpec
             "degrees exactly only below 2^53")
     monos = _cofactor_monomials(cofactor_degrees)
     degrees = np.array([base + u + v for u, v in monos], dtype=np.int64)
-    exponents = tuple(float(b - m * a)
-                      for b, a in zip(line_powers, arr.coeffs))
+    # e_i = b_i - m a_i over one denominator, rounded once as by Fraction
+    weights, _total, den = arr.scaled_weights
+    exponents = tuple((b * den - m * a) / den
+                      for b, a in zip(line_powers, weights))
     rule = _hopf_nodes(arr, exponents, HOPF_JACOBI, HOPF_LEGENDRE,
                        HOPF_ANGLES)
 
@@ -515,36 +519,43 @@ def _log_kernel_chunk(result: GramResult, ux: np.ndarray, uy: np.ndarray,
     of the cofactor monomials at u and log|ell_i(u)| the unit form's log
     modulus plus log|ell_i|: each K_d(u) is read once for all radii, and
     no power of r is formed, so high degrees neither underflow nor
-    overflow.  A block of rank 0 reads log 0 = -inf.
+    overflow.  A block of rank 0 reads log 0 = -inf.  The sums K_d(u) of
+    all blocks fill one (blocks x directions) array, which takes one log
+    after the loop; it is added to the broadcast degree terms 2d log r,
+    and the log-sum-exp shifts and exponentiates those terms in place.
     """
     blocks = result.blocks
-    t_lo = blocks[0].degree - sum(result.line_powers)
-    terms = np.empty((len(blocks), len(ux), log_r.shape[1]))
+    d_lo = blocks[0].degree
+    t_lo = d_lo - sum(result.line_powers)
+    sums = np.empty((len(blocks), len(ux)))
     # rows[i] = x^(t-i) y^i of cofactor degree t, grown in place
     rows = np.empty((t_lo + len(blocks), len(ux)), dtype=np.complex128)
     rows[0] = 1.0
+    for t in range(len(rows)):
+        if t:  # row t is row t-1 times y, then rows 0..t-1 times x
+            np.multiply(rows[t - 1], uy, out=rows[t])
+            rows[:t] *= ux
+        if t >= t_lo:
+            sigma = blocks[t - t_lo].transform.T @ rows[:t + 1]
+            np.add.reduce(sigma.real ** 2 + sigma.imag ** 2, axis=0,
+                          out=sums[t - t_lo])
+    # terms[d, u, r] = 2d log r + log K_d(u), in one buffer
+    terms = np.zeros((len(blocks), len(ux), log_r.shape[1]))
+    lead = 0 if d_lo else 1  # 0 * log r would be NaN at r = 0
+    two_d = 2.0 * np.arange(d_lo + lead, d_lo + len(blocks))
+    np.multiply(two_d[:, None, None], log_r, out=terms[lead:])
     with np.errstate(divide="ignore"):
         log_lines = np.full(len(ux), -result.log_scale)
         for line, power in zip(result._arr.lines, result.line_powers):
             if power:
                 log_lines += 2.0 * power * (np.log(line.modulus(ux, uy))
                                             + line.log_norm)
-        for t in range(len(rows)):
-            if t:  # row t is row t-1 times y, then rows 0..t-1 times x
-                np.multiply(rows[t - 1], uy, out=rows[t])
-                rows[:t] *= ux
-            if t < t_lo:
-                continue
-            block, term = blocks[t - t_lo], terms[t - t_lo]
-            sigma = block.transform.T @ rows[:t + 1]
-            term[:] = np.log(np.sum(sigma.real ** 2 + sigma.imag ** 2,
-                                    axis=0))[:, None]
-            if block.degree:  # 0 * log r would be NaN at r = 0
-                term += 2.0 * block.degree * log_r
-        top = terms.max(axis=0)
-        top = np.where(np.isfinite(top), top, 0.0)  # all -inf at z = 0
+        terms += np.log(sums)[:, :, None]
+        top = np.maximum.reduce(terms, axis=0)
+        top[~np.isfinite(top)] = 0.0  # all -inf at z = 0
+        terms -= top
         return (log_lines[:, None] + top
-                + np.log(np.sum(np.exp(terms - top), axis=0)))
+                + np.log(np.add.reduce(np.exp(terms, out=terms), axis=0)))
 
 
 def _log_kernel_on_points(result: GramResult, x, y) -> np.ndarray:
@@ -593,25 +604,37 @@ class RaySlopes(Record):
 
 def _slopes(log_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Least-squares slope of each row of `rows` against `log_t`."""
-    dt = log_t - log_t.mean()
-    return (rows - rows.mean(axis=-1, keepdims=True)) @ dt / (dt @ dt)
+    dt = log_t - np.add.reduce(log_t) / len(log_t)
+    mean = np.add.reduce(rows, axis=-1, keepdims=True) / rows.shape[-1]
+    return (rows - mean) @ dt / (dt @ dt)
+
+
+@functools.lru_cache(maxsize=4)
+def _log_radii(window: tuple[float, float, int]) -> np.ndarray:
+    """log of the `np.geomspace` radii of a slope window, read-only."""
+    out = np.log(np.geomspace(*window))
+    out.flags.writeable = False
+    return out
 
 
 def lelong_estimate(arr: WeightedArrangement, m: int, quad: QuadratureSpec,
                     *, rays: int = 8, gram: GramResult | None = None
                     ) -> RaySlopes:
     """Average slope of phi_hat_m against log r on SLOPE_WINDOW along
-    `rays` (>= 1) generic rays, all fitted in one product.  Each ray's
-    block kernels are read once for all its radii, in the chunked pass
-    that points take too."""
+    `rays` (an integer >= 1) generic rays, all fitted in one product.
+    Each ray's block kernels are read once for all its radii, in the
+    chunked pass that points take too."""
+    rays = operator.index(rays)
     if rays < 1:
         raise ValueError(f"a slope estimate needs rays >= 1, got {rays}")
     result = gram if gram is not None else gram_matrix(arr, m, quad)
-    log_r = np.log(np.geomspace(*SLOPE_WINDOW))[None, :]
+    log_r = _log_radii(SLOPE_WINDOW)
     u = np.array(generic_rays(arr, rays, quad.seed))
-    phi = _log_kernel(result, u[:, 0], u[:, 1], log_r) / (2.0 * result.m)
-    slopes = _slopes(log_r[0], phi)
-    return RaySlopes(result, float(np.mean(slopes)), slopes.tolist())
+    phi = (_log_kernel(result, u[:, 0], u[:, 1], log_r[None, :])
+           / (2.0 * result.m))
+    slopes = _slopes(log_r, phi)
+    return RaySlopes(result, float(np.add.reduce(slopes) / rays),
+                     slopes.tolist())
 
 
 class CurveScan(Record):

@@ -241,17 +241,18 @@ def generic_rays(arr: WeightedArrangement, count: int, seed: int
                  ) -> list[tuple[complex, complex]]:
     """`count` unit directions in C^2, drawn from `seed`, each at distance
     more than 0.05 from every line of the arrangement."""
-    rng = random.Random(seed)
+    gauss = random.Random(seed).gauss
+    moduli = [line.modulus for line in arr.lines]
     rays: list[tuple[complex, complex]] = []
     while len(rays) < count:
-        parts = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        norm = math.sqrt(sum(v * v for v in parts))
+        a, b, c, d = (gauss(0.0, 1.0), gauss(0.0, 1.0), gauss(0.0, 1.0),
+                      gauss(0.0, 1.0))
+        norm = math.sqrt(a * a + b * b + c * c + d * d)
         if norm == 0.0:
             continue
-        u = (complex(parts[0], parts[1]) / norm, complex(parts[2], parts[3]) / norm)
-        dist = min((line.modulus(*u) for line in arr.lines), default=1.0)
-        if dist > 0.05:
-            rays.append(u)
+        x, y = complex(a, b) / norm, complex(c, d) / norm
+        if min((modulus(x, y) for modulus in moduli), default=1.0) > 0.05:
+            rays.append((x, y))
     return rays
 
 

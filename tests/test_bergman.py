@@ -321,6 +321,50 @@ def test_lelong_estimate_needs_a_ray(rays):
         lelong_estimate(THEOREM1, 2, QUAD, rays=rays)
 
 
+@pytest.mark.parametrize("rays", [2.5, float("nan"), float("inf"), "8"],
+                         ids=["2.5", "nan", "inf", "str"])
+def test_lelong_estimate_needs_an_integer_ray_count(rays, monkeypatch):
+    # refused before any Gram is built or ray drawn: inf drew rays
+    # forever, nan failed on an index and 2.5 drew 3 rays
+    def refuse(*args, **kwargs):
+        raise AssertionError("the count reached the estimate")
+
+    monkeypatch.setattr(bergman, "gram_matrix", refuse)
+    monkeypatch.setattr(bergman, "generic_rays", refuse)
+    with pytest.raises(TypeError):
+        lelong_estimate(THEOREM1, 2, QUAD, rays=rays)
+
+
+def test_lelong_estimate_takes_numpy_integer_rays():
+    gram = gram_matrix(THEOREM1, 2, QUAD)
+    assert (lelong_estimate(THEOREM1, 2, QUAD, rays=np.int64(8),
+                            gram=gram).to_dict()
+            == lelong_estimate(THEOREM1, 2, QUAD, rays=8, gram=gram).to_dict())
+
+
+def test_degree_zero_block_at_the_origin():
+    # the trivial weight's kernel has a degree-0 block, whose term takes no
+    # 0 * log r (NaN at r = 0): at the origin it reads K(0) = 2 / pi^2,
+    # 1 / vol(B^4), as next to it.  theorem1's lowest degree is positive,
+    # so its phi_hat is -inf at the origin
+    quad = QuadratureSpec(4, 10_000, 42)
+    trivial, theorem1 = (gram_matrix(arr, 1, quad)
+                         for arr in (ZERO_WEIGHT, THEOREM1))
+    x = np.array([0.0, 1e-3, 0.3 + 0.1j, 0.0, 0.0])
+    y = np.array([0.0, 0.0, 0.5j, 1e-200, 0.0])
+    with np.errstate(invalid="raise"):
+        at_zero = bergman_phi(ZERO_WEIGHT, 1, quad, (0j, 0j), gram=trivial)
+        assert math.isfinite(at_zero)
+        assert at_zero == bergman_phi(ZERO_WEIGHT, 1, quad, (1e-300, 0j),
+                                      gram=trivial)
+        assert at_zero == pytest.approx(0.5 * math.log(2 / math.pi ** 2),
+                                        rel=1e-12)
+        assert bergman_phi(THEOREM1, 1, quad, (0j, 0j),
+                           gram=theorem1) == -math.inf
+        for gram in (trivial, theorem1):
+            assert np.isfinite(kernel_values(gram, x, y)).all()
+
+
 # lines x and x + 3y with weights 1/2 and 99/100 (exponent -0.99 on the
 # second line at m = 1), and lines x and x + 10^300 y
 NEAR_MINUS_ONE = new_arrangement([(1, 0), (1, 3)],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from pshlab.singularity import (
     class_of_weight,
     compare,
     directed_violation,
+    generic_rays,
     lelong,
     more_singular_or_equal,
 )
@@ -172,6 +174,45 @@ def test_limit_convergence_bounds():
             for a, g in zip(arr.coeffs, cls.gamma):
                 assert 0 <= a - g <= Fraction(1, m)
             assert abs(cls.delta - arr.point_mass) <= Fraction(bound_num, m)
+
+
+def _reference_rays(arr, count, seed):
+    """The rays of `generic_rays` as drawn before its bound methods were
+    hoisted: four `gauss` values per draw, the squared norm added in order
+    (as `sum` adds floats before Python 3.12), kept while more than 0.05
+    from every line."""
+    rng = random.Random(seed)
+    rays = []
+    while len(rays) < count:
+        parts = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        norm2 = 0.0
+        for v in parts:
+            norm2 += v * v
+        norm = math.sqrt(norm2)
+        if norm == 0.0:
+            continue
+        u = (complex(parts[0], parts[1]) / norm,
+             complex(parts[2], parts[3]) / norm)
+        dist = min((line.modulus(*u) for line in arr.lines), default=1.0)
+        if dist > 0.05:
+            rays.append(u)
+    return rays
+
+
+# lines x, y, x +- y and x +- 2y: the 0.05 filter rejects 10 to 17 draws
+# for 1,000 rays at seeds 0, 1 and 42
+SIX_LINES = new_arrangement([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (1, -2)],
+                            [Fraction(1, 7)] * 6)
+
+
+@pytest.mark.parametrize("arr", [THEOREM1, new_arrangement([], [], 1),
+                                 SIX_LINES],
+                         ids=["theorem1", "no-lines", "six-lines"])
+def test_generic_rays_match_the_reference_bit_for_bit(arr):
+    for seed in (0, 1, 42):
+        for count in (1, 8, 1000):
+            assert generic_rays(arr, count, seed) == _reference_rays(
+                arr, count, seed)
 
 
 def test_probe_matches_comparator_on_paper_pairs():

@@ -9,7 +9,7 @@ with ``PYTHONPATH=PARENT_SRC`` and once with this checkout's ``src``, each
 in a fresh interpreter, report commands with ``--no-timestamp``, and their
 standard output, standard error and exit codes are compared byte for byte:
 
-- 34 commands in each of the formats json, csv and md (102 pairs): ``lct``,
+- 35 commands in each of the formats json, csv and md (105 pairs): ``lct``,
   ``compare``, ``sequence`` (plain, ``--indices pow2``, ``3k+2`` and a
   list), ``verify-paper`` (all claims and ``--claims``), ``analyze``
   (``--m-max`` and ``--m``) and ``bergman`` (scans along x=y, a ray and
@@ -18,8 +18,9 @@ standard output, standard error and exit codes are compared byte for byte:
   and the scan (4, 8), where the default cutoff 12 admits nothing at
   m = 8 and is raised to 19), on presets, on a three-line file
   arrangement with a Gaussian-rational line (also ray slopes and a scan of
-  2,000 points at cutoff 47, the top cofactor degree the Hopf rule takes)
-  and on three files with huge
+  2,000 points at cutoff 47, the top cofactor degree the Hopf rule takes,
+  and 2,000 ray slopes at m = 2: seven kernel passes of at most 327 rays,
+  over draws the sampler rejects) and on three files with huge
   coefficients: the lines x and x + 10^300 y (weights 3/4,
   then 99/100 on the second line) and the lines x and x + 2^1998 y; and
   ``--audit-gram`` at m = 1 on x, x + 2^1998 y with weight 99/100, whose
@@ -37,7 +38,7 @@ standard output, standard error and exit codes are compared byte for byte:
   error);
 - the three demos: ``demos/01`` and ``demos/02`` print generators,
   memberships, oracle margins and the monotonicity tables through the
-  polynomial layer, ``demos/03`` the kernel cross-check (113 cases in all).
+  polynomial layer, ``demos/03`` the kernel cross-check (116 cases in all).
 
 Prints one line per case.  For each difference it also prints how many of
 the numbers in the two outputs differ, paired in order of appearance, with
@@ -184,6 +185,7 @@ def cases(arrangement_file: str, huge_files: list[str],
         ["bergman", *f, "--m", "2", "--rays", "3", "--samples", "10000"],
         ["bergman", *t, "--m", "1", "--rays", "64"],
         ["bergman", *f, "--m", "2", "--rays", "64"],
+        ["bergman", *f, "--m", "2", "--rays", "2000"],
         ["bergman", *f, "--m", "1", "--max-degree", "47", "--rays", "4"],
         ["bergman", *f, "--m1", "1", "--m2", "2", "--max-degree", "47",
          "--points", "2000"],
